@@ -19,16 +19,7 @@ from .estimators import (
     run_triangle_trials,
     summarize,
 )
-from .geometry import (
-    CrossingTally,
-    GridSpec,
-    TriangleSpec,
-    count_line_crossings_sorted,
-    crossings_per_cast,
-    make_triangle,
-    segment_crosses_line,
-    sorted_axis_coords,
-)
+from .geometry import GridSpec, TriangleSpec, crossings_per_cast, make_triangle
 from .oracle import (
     expected_crossings_closed_form,
     expected_crossings_quadrature,
@@ -43,7 +34,7 @@ from .render import (
     render_histogram,
     scene_for_cast,
 )
-from .sampling import CastSample, RngConfig, sample_cast, sample_offset, sample_rotation
+from .sampling import CastSample, RngConfig, draw_casts, sample_cast
 
 __version__ = "0.1.0"
 
@@ -51,7 +42,6 @@ __all__ = [
     "BatchResult",
     "CastSample",
     "CastScene",
-    "CrossingTally",
     "DegenerateSampleError",
     "EstimateSummary",
     "GridSpec",
@@ -63,8 +53,8 @@ __all__ = [
     "TriangleSpec",
     "UnsupportedConfigurationError",
     "Viewport",
-    "count_line_crossings_sorted",
     "crossings_per_cast",
+    "draw_casts",
     "estimate_pi_needle",
     "estimate_pi_triangle",
     "expected_crossings_closed_form",
@@ -78,10 +68,6 @@ __all__ = [
     "run_needle_trials",
     "run_triangle_trials",
     "sample_cast",
-    "sample_offset",
-    "sample_rotation",
     "scene_for_cast",
-    "segment_crosses_line",
-    "sorted_axis_coords",
     "summarize",
 ]

@@ -101,6 +101,8 @@ def cmd_batch(args) -> int:
         raise ValueError("--ratio only applies to --method needle")
     if args.runs < 1 or args.trials < 1:
         raise ValueError("--runs and --trials must be >= 1")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     seed = _resolve_seed(args.seed)
     ratio = 1.0 if args.ratio is None else args.ratio
     result = run_batch(
@@ -138,10 +140,10 @@ def cmd_render(args) -> int:
         cast = sample_cast(rng, 1.0)
         tri = TriangleSpec((0.0, 0.0), 1.0, cast.rotation)
         grid = GridSpec(1.0, cast.offset_x, cast.offset_y)
-        tally = crossings_per_cast(tri.vertices(), grid)
+        count_x, count_y = crossings_per_cast(tri.vertices(), cast.offset_x, cast.offset_y)
         name = filename_for_cast(i)
         (out_dir / name).write_text(render_cast(scene_for_cast(tri, grid)), encoding="utf-8")
-        print(f"{name}: count_x = {tally.count_x}  count_y = {tally.count_y}")
+        print(f"{name}: count_x = {count_x}  count_y = {count_y}")
     return 0
 
 
@@ -163,6 +165,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 
 def cmd_validate(args) -> int:
+    if args.mc_trials is not None and args.mc_trials < 1:
+        raise ValueError(f"--mc-trials must be >= 1, got {args.mc_trials}")
     n_theta, n_offset = _parse_resolution(args.resolution)
     quadrature = expected_crossings_quadrature(n_theta, n_offset)
     closed_form = expected_crossings_closed_form(1.0, 1.0)
@@ -171,7 +175,7 @@ def cmd_validate(args) -> int:
     print(f"closed form 12/pi = {closed_form:.6f}")
     print(f"absolute gap = {gap:.6f}")
     ok = gap < args.tolerance
-    if args.mc_trials:
+    if args.mc_trials is not None:
         seed = _resolve_seed(args.seed)
         rng = RngConfig(seed, 0).stream()
         agg = run_triangle_trials(args.mc_trials, rng)

@@ -2,18 +2,21 @@
 
 A cast triangle is built from its circumcircle: vertex k sits at angle
 ``rotation + k * 2*pi/3`` on the circle of radius ``side / sqrt(3)`` around
-the center.  Crossing counts against the two families of grid lines use a
-half-open rule throughout: a segment whose endpoint coordinates sort to
-``(a, b)`` crosses the line at position ``p`` iff ``a < p <= b``.  The rule
-makes vertex-on-line ties deterministic, so degenerate casts are counted,
-never resampled.
+the center.  Crossings are counted by one elementwise function,
+``crossings_per_cast``, for a single cast or a whole block of casts.  It
+uses a half-open rule: a grid line at ``p`` is straddled iff ``lo < p <=
+hi`` over the vertex coordinates, and then crosses exactly two sides (a
+side whose endpoint coordinates sort to ``(a, b)`` crosses ``p`` iff ``a <
+p <= b``).  The rule makes vertex-on-line ties deterministic, so degenerate
+casts are counted, never resampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+
+import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -21,9 +24,6 @@ THIRD_TURN = TWO_PI / 3.0
 
 Point = tuple[float, float]
 Vertices = tuple[Point, Point, Point]
-
-Axis = Literal["x", "y"]
-_AXIS_INDEX = {"x": 0, "y": 1}
 
 
 @dataclass(frozen=True)
@@ -69,33 +69,17 @@ class GridSpec:
                 raise ValueError(f"{name} must lie in [0, spacing), got {value}")
 
 
-@dataclass(frozen=True)
-class CrossingTally:
-    """Per-family crossing counts for one cast (or summed over casts)."""
-
-    count_x: int
-    count_y: int
-
-    def __post_init__(self) -> None:
-        if self.count_x < 0 or self.count_y < 0:
-            raise ValueError("crossing counts cannot be negative")
-
-    @property
-    def total(self) -> int:
-        return self.count_x + self.count_y
-
-
-def make_triangle(center: Point, side: float, rotation: float) -> Vertices:
+def make_triangle(center: Point, side: float, rotation: float | np.ndarray) -> Vertices:
     """Vertices of the equilateral triangle inscribed in its circumcircle.
 
     Vertex k is ``center + r * (cos(rotation + k*2*pi/3),
     sin(rotation + k*2*pi/3))`` with ``r = side / sqrt(3)``.  Vertices are
-    returned in construction order, not sorted.  Any finite rotation is
-    accepted.
+    returned in construction order, not sorted.  ``rotation`` is a float or
+    an array of rotations, one cast each; any finite rotation is accepted.
     """
     if not (math.isfinite(side) and side > 0):
         raise ValueError(f"side must be a positive finite length, got {side}")
-    if not math.isfinite(rotation):
+    if not np.all(np.isfinite(rotation)):
         raise ValueError(f"rotation must be finite, got {rotation}")
     cx, cy = center
     if not (math.isfinite(cx) and math.isfinite(cy)):
@@ -104,75 +88,35 @@ def make_triangle(center: Point, side: float, rotation: float) -> Vertices:
     points = []
     for k in range(3):
         angle = rotation + k * THIRD_TURN
-        points.append((cx + r * math.cos(angle), cy + r * math.sin(angle)))
+        points.append((cx + r * np.cos(angle), cy + r * np.sin(angle)))
     return (points[0], points[1], points[2])
 
 
-def sorted_axis_coords(v: Vertices, axis: Axis) -> tuple[float, float, float]:
-    """The three vertex coordinates along one axis, ascending."""
-    try:
-        i = _AXIS_INDEX[axis]
-    except KeyError:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}") from None
-    a, b, c = sorted((v[0][i], v[1][i], v[2][i]))
-    return (a, b, c)
+def crossings_per_cast(
+    v: Vertices, offset_x: float | np.ndarray, offset_y: float | np.ndarray, spacing: float = 1.0
+):
+    """Grid-line crossings of a cast, per line family: ``(count_x, count_y)``.
 
-
-def segment_crosses_line(p_coord: float, q_coord: float, line_pos: float) -> bool:
-    """Half-open crossing test: ``min(p, q) < line_pos <= max(p, q)``."""
-    if p_coord <= q_coord:
-        return p_coord < line_pos <= q_coord
-    return q_coord < line_pos <= p_coord
-
-
-def count_line_crossings_sorted(
-    coords: tuple[float, float, float], line_pos: float
-) -> int:
-    """Crossings of one grid line against the three sorted-coordinate pairs.
-
-    ``coords`` must be nondecreasing.  Each index pair (i, j) with i < j
-    contributes one crossing iff ``coords[i] < line_pos <= coords[j]``.  For
-    an actual triangle this equals the number of true sides crossed, because
-    sorting coordinates permutes which pairs bound the line but not how many.
+    Works elementwise: vertex coordinates and offsets may be floats or
+    broadcastable arrays of casts.  Vertical lines sit at ``offset_x +
+    k*spacing`` and are counted against the x coordinates, horizontal lines
+    likewise against y.
     """
-    a0, a1, a2 = coords
-    n = 0
-    if a0 < line_pos <= a1:
-        n += 1
-    if a0 < line_pos <= a2:
-        n += 1
-    if a1 < line_pos <= a2:
-        n += 1
-    return n
+    (x0, y0), (x1, y1), (x2, y2) = v
+    return (
+        _axis_crossings(x0, x1, x2, offset_x, spacing),
+        _axis_crossings(y0, y1, y2, offset_y, spacing),
+    )
 
 
-def _family_crossings(
-    coords: tuple[float, float, float], offset: float, spacing: float
-) -> int:
-    """Sum crossings over every grid line inside the coordinate extent.
+def _axis_crossings(a, b, c, offset, spacing):
+    """Twice the number of lines ``offset + k*spacing`` with ``lo < p <= hi``.
 
-    Candidate lines are enumerated from the bounding interval: starting
-    below ``coords[0]`` and stepping by ``spacing`` while the position stays
-    at or below ``coords[2]``.
+    ``lo`` and ``hi`` are the extreme vertex coordinates, so the count of
+    straddled lines is a difference of floors; each straddled line crosses
+    exactly two sides of the triangle.
     """
-    lo = coords[0]
-    hi = coords[2]
-    k = math.floor((lo - offset) / spacing)
-    count = 0
-    while True:
-        k += 1
-        pos = offset + k * spacing
-        if pos > hi:
-            return count
-        count += count_line_crossings_sorted(coords, pos)
-
-
-def crossings_per_cast(v: Vertices, grid: GridSpec) -> CrossingTally:
-    """Count grid-line crossings of one cast, per line family.
-
-    Vertical lines (x family) are tested against sorted x coordinates,
-    horizontal lines against sorted y coordinates.
-    """
-    count_x = _family_crossings(sorted_axis_coords(v, "x"), grid.offset_x, grid.spacing)
-    count_y = _family_crossings(sorted_axis_coords(v, "y"), grid.offset_y, grid.spacing)
-    return CrossingTally(count_x, count_y)
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    lines = np.floor((hi - offset) / spacing) - np.floor((lo - offset) / spacing)
+    return 2 * lines.astype(np.int64)

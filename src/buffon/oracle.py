@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import UnsupportedConfigurationError
-from .geometry import THIRD_TURN, GridSpec, crossings_per_cast, make_triangle
+from .geometry import THIRD_TURN, crossings_per_cast, make_triangle
 
 
 def expected_crossings_quadrature(
@@ -32,19 +34,19 @@ def expected_crossings_quadrature(
     lattice {k * spacing / n}.  The x count depends only on (rotation,
     offset_x) and the y count only on (rotation, offset_y), so pairing the
     two offset lattices point-for-point reproduces the full 3D lattice
-    average at a fraction of the evaluations.
+    average at a fraction of the evaluations.  The whole rotation x offset
+    lattice is counted in one ``crossings_per_cast`` call.
     """
     if grid_points_theta < 8 or grid_points_offset < 8:
         raise ValueError("lattice needs at least 8 points per dimension")
     d_theta = THIRD_TURN / grid_points_theta
-    offsets = [k / grid_points_offset for k in range(grid_points_offset)]
+    theta = theta_origin + (np.arange(grid_points_theta) + 0.5) * d_theta
+    offsets = np.arange(grid_points_offset) / grid_points_offset
+    vertices = make_triangle((0.0, 0.0), 1.0, theta[:, np.newaxis])
+    count_x, count_y = crossings_per_cast(vertices, offsets, offsets)
+    # The float total depends on summation order: add per-theta means left to right.
     total = 0.0
-    for i in range(grid_points_theta):
-        theta = theta_origin + (i + 0.5) * d_theta
-        vertices = make_triangle((0.0, 0.0), 1.0, theta)
-        crossings = 0
-        for off in offsets:
-            crossings += crossings_per_cast(vertices, GridSpec(1.0, off, off)).total
+    for crossings in (count_x + count_y).sum(axis=1).tolist():
         total += crossings / grid_points_offset
     return total / grid_points_theta
 

@@ -47,25 +47,23 @@ class CastSample:
     offset_y: float
 
 
-def sample_rotation(rng: np.random.Generator) -> float:
-    """Uniform rotation angle in [0, 2*pi)."""
-    return TWO_PI * rng.random()
+def draw_casts(
+    rng: np.random.Generator, m: int, spacing: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw m casts as columns (rotation, offset_x, offset_y).
 
-
-def sample_offset(rng: np.random.Generator, spacing: float) -> float:
-    """Uniform continuous grid offset in [0, spacing)."""
+    Rotations are uniform on [0, 2*pi) and offsets uniform on [0, spacing).
+    The fixed draw order keeps sequences reproducible: cast i consumes
+    exactly the uniforms 3i, 3i+1, 3i+2 of its stream, so drawing in blocks
+    of any size gives the same casts.
+    """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    return spacing * rng.random()
+    u = np.asarray(rng.random(3 * m), dtype=np.float64).reshape(m, 3)
+    return TWO_PI * u[:, 0], spacing * u[:, 1], spacing * u[:, 2]
 
 
 def sample_cast(rng: np.random.Generator, spacing: float) -> CastSample:
-    """Draw one trial, always in the order rotation, offset_x, offset_y.
-
-    The fixed draw order keeps sequences reproducible: cast i consumes
-    exactly the uniforms 3i, 3i+1, 3i+2 of its stream.
-    """
-    rotation = sample_rotation(rng)
-    offset_x = sample_offset(rng, spacing)
-    offset_y = sample_offset(rng, spacing)
-    return CastSample(rotation, offset_x, offset_y)
+    """Draw one cast: the one-row view of ``draw_casts``."""
+    rotation, offset_x, offset_y = draw_casts(rng, 1, spacing)
+    return CastSample(float(rotation[0]), float(offset_x[0]), float(offset_y[0]))

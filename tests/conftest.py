@@ -1,12 +1,11 @@
-"""Shared test helpers: a scripted RNG stand-in and a brute-force crossing oracle."""
+"""Shared test helpers: a scripted RNG stand-in and a brute-force crossing
+reference that shares no counting code with the package."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-from buffon.geometry import CrossingTally, GridSpec, Vertices, segment_crosses_line
 
 
 class StubStream:
@@ -28,21 +27,32 @@ class StubStream:
         return np.asarray(chunk, dtype=np.float64)
 
 
-def brute_force_tally(v: Vertices, grid: GridSpec) -> CrossingTally:
+def segment_crosses_line(p_coord: float, q_coord: float, line_pos: float) -> bool:
+    """Half-open crossing test for one side: ``min(p, q) < line_pos <= max(p, q)``."""
+    if p_coord <= q_coord:
+        return p_coord < line_pos <= q_coord
+    return q_coord < line_pos <= p_coord
+
+
+def brute_force_tally(v, offset_x: float, offset_y: float, spacing: float = 1.0) -> tuple[int, int]:
     """Count crossings side by side: every actual triangle edge against every
     grid line in a generous window around the cast."""
     counts = []
-    for axis in (0, 1):
-        offset = grid.offset_x if axis == 0 else grid.offset_y
-        coords = [p[axis] for p in v]
+    for axis, offset in ((0, offset_x), (1, offset_y)):
+        coords = [float(p[axis]) for p in v]
         lo, hi = min(coords), max(coords)
-        k_lo = math.floor((lo - offset) / grid.spacing) - 2
-        k_hi = math.ceil((hi - offset) / grid.spacing) + 2
+        k_lo = math.floor((lo - offset) / spacing) - 2
+        k_hi = math.ceil((hi - offset) / spacing) + 2
         count = 0
         for k in range(k_lo, k_hi + 1):
-            pos = offset + k * grid.spacing
+            pos = offset + k * spacing
             for a, b in ((0, 1), (1, 2), (2, 0)):
                 if segment_crosses_line(coords[a], coords[b], pos):
                     count += 1
         counts.append(count)
-    return CrossingTally(counts[0], counts[1])
+    return counts[0], counts[1]
+
+
+def cast_vertices(v, i: int):
+    """The vertices of cast ``i`` of a block built by ``make_triangle``."""
+    return tuple((float(x[i]), float(y[i])) for x, y in v)

@@ -8,14 +8,16 @@ minutes of CPU; everything else finishes in seconds.
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from buffon.cli import main
 from buffon.estimators import run_batch, run_needle_trials, run_triangle_trials, estimate_pi_needle
-from buffon.geometry import GridSpec, crossings_per_cast, make_triangle
+from buffon.geometry import crossings_per_cast, make_triangle
 from buffon.oracle import expected_crossings_closed_form, expected_crossings_quadrature
 from buffon.render import grid_lines_in_window
-from buffon.sampling import RngConfig, sample_cast
+from buffon.sampling import RngConfig, draw_casts, sample_cast
 
-from conftest import brute_force_tally
+from conftest import brute_force_tally, cast_vertices
 
 SEED = 20240810
 PI = math.pi
@@ -93,30 +95,30 @@ def test_criterion_4_needle_baseline():
     )
 
 
+def _casts(stream_id, n=100_000):
+    rotation, offset_x, offset_y = draw_casts(RngConfig(SEED, stream_id).stream(), n, 1.0)
+    return make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y
+
+
 def test_criterion_5_sorted_counts_equal_direct_counts():
-    rng = RngConfig(SEED, 0).stream()
+    v, offset_x, offset_y = _casts(0)
+    count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
     mismatches = 0
-    for _ in range(100_000):
-        cast = sample_cast(rng, 1.0)
-        v = make_triangle((0.0, 0.0), 1.0, cast.rotation)
-        grid = GridSpec(1.0, cast.offset_x, cast.offset_y)
-        if crossings_per_cast(v, grid) != brute_force_tally(v, grid):
+    for i in range(offset_x.size):
+        if (count_x[i], count_y[i]) != brute_force_tally(cast_vertices(v, i), offset_x[i], offset_y[i]):
             mismatches += 1
     _verdict(
         "5 sorted equals direct", mismatches == 0,
-        f"100000 casts, {mismatches} mismatches between sorted-pair and per-side counts",
+        f"100000 casts, {mismatches} mismatches between floor-difference and per-side counts",
     )
 
 
 def test_criterion_6_parity_and_bounds():
-    rng = RngConfig(SEED, 1).stream()
-    violations = 0
-    for _ in range(100_000):
-        cast = sample_cast(rng, 1.0)
-        v = make_triangle((0.0, 0.0), 1.0, cast.rotation)
-        tally = crossings_per_cast(v, GridSpec(1.0, cast.offset_x, cast.offset_y))
-        if tally.count_x not in (0, 2) or tally.count_y not in (0, 2) or tally.total not in (0, 2, 4):
-            violations += 1
+    v, offset_x, offset_y = _casts(1)
+    count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
+    family_ok = np.isin(count_x, (0, 2)) & np.isin(count_y, (0, 2))
+    total_ok = np.isin(count_x + count_y, (0, 2, 4))
+    violations = int((~(family_ok & total_ok)).sum())
     _verdict(
         "6 parity and bounds", violations == 0,
         f"100000 casts, {violations} counts outside {{0,2}} per family / {{0,2,4}} total",

@@ -111,6 +111,11 @@ class TestBatchCommand:
     def test_zero_runs_is_usage_error(self):
         assert main(["batch", "--runs", "0", "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
+        assert main(["batch", "--runs", "2", "--trials", "100", "--seed", "1", "--workers", workers]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
 
 class TestRenderCommand:
     def test_writes_named_files_and_tallies(self, tmp_path, capsys):
@@ -176,6 +181,11 @@ class TestValidateCommand:
         assert "monte carlo mean (200000 trials) = " in out
         assert "standard errors" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_mc_trials_is_usage_error(self, capsys, trials):
+        assert main(["validate", "--resolution", "8", "--mc-trials", trials, "--seed", "1"]) == 1
+        assert "--mc-trials must be >= 1" in capsys.readouterr().err
 
     def test_bad_resolution_strings(self):
         assert main(["validate", "--resolution", "abc"]) == 1

@@ -16,22 +16,22 @@ from buffon.estimators import (
     run_triangle_trials,
     summarize,
 )
-from buffon.geometry import GridSpec, crossings_per_cast, make_triangle
+from buffon.geometry import make_triangle
 from buffon.sampling import RngConfig, sample_cast
 
-from conftest import StubStream
+from conftest import StubStream, brute_force_tally
 
 
 def _scalar_triangle_totals(n, rng):
-    """Reference cast-by-cast loop the blocked runner must reproduce exactly."""
+    """Cast-by-cast reference, counted side by side, that the blocked runner must reproduce."""
     cx = cy = sq = 0
     for _ in range(n):
         cast = sample_cast(rng, 1.0)
         v = make_triangle((0.0, 0.0), 1.0, cast.rotation)
-        tally = crossings_per_cast(v, GridSpec(1.0, cast.offset_x, cast.offset_y))
-        cx += tally.count_x
-        cy += tally.count_y
-        sq += tally.total * tally.total
+        count_x, count_y = brute_force_tally(v, cast.offset_x, cast.offset_y)
+        cx += count_x
+        cy += count_y
+        sq += (count_x + count_y) ** 2
     return cx, cy, sq
 
 
@@ -176,6 +176,8 @@ class TestRunBatch:
         assert len(result.histogram) == 12
         assert sum(count for _, _, count in result.histogram) == 50
         assert result.mean == pytest.approx(float(np.mean(result.estimates)), rel=1e-12)
+        stats = summarize(result.estimates)
+        assert (result.mean, result.stddev) == (stats.mean, stats.stddev)
 
     def test_needle_batch(self):
         result = run_batch(5, 20_000, RngConfig(17, 0), "needle", ratio=0.75)

@@ -1,30 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
-from buffon.geometry import (
-    THIRD_TURN,
-    CrossingTally,
-    GridSpec,
-    TriangleSpec,
-    count_line_crossings_sorted,
-    crossings_per_cast,
-    make_triangle,
-    segment_crosses_line,
-    sorted_axis_coords,
-)
-from buffon.sampling import RngConfig, sample_cast
+from buffon.geometry import THIRD_TURN, GridSpec, TriangleSpec, crossings_per_cast, make_triangle
+from buffon.sampling import RngConfig, draw_casts
 
-from conftest import brute_force_tally
+from conftest import brute_force_tally, cast_vertices, segment_crosses_line
 
 SQRT3 = math.sqrt(3.0)
 
+# Dyadic stand-in for the rotation-0 unit triangle: every coordinate and
+# line position below is exact, so vertex-on-line ties are real ties.
+DYADIC = ((0.5, 0.0), (-0.25, 0.5), (-0.25, -0.5))
 
-def _random_cast(rng):
-    cast = sample_cast(rng, 1.0)
-    v = make_triangle((0.0, 0.0), 1.0, cast.rotation)
-    grid = GridSpec(1.0, cast.offset_x, cast.offset_y)
-    return v, grid
+
+def _random_casts(seed, n):
+    return draw_casts(RngConfig(seed, 0).stream(), n, 1.0)
 
 
 class TestMakeTriangle:
@@ -53,6 +45,14 @@ class TestMakeTriangle:
         v = make_triangle((10000.0, 10000.0), 17320.5, 0.0)
         assert v[0] == pytest.approx((10000.0 + r, 10000.0), abs=1e-9)
         assert abs(v[0][0] - 20000.0) < 0.005
+
+    def test_array_rotations_match_scalar_calls(self):
+        rotations = np.linspace(0.0, 7.0, 101)
+        block = make_triangle((0.3, -1.7), 2.5, rotations)
+        for i, rotation in enumerate(rotations):
+            assert cast_vertices(block, i) == make_triangle((0.3, -1.7), 2.5, float(rotation))
+        with pytest.raises(ValueError):
+            make_triangle((0.0, 0.0), 1.0, np.array([0.0, float("nan")]))
 
     @pytest.mark.parametrize("side", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_side(self, side):
@@ -107,60 +107,6 @@ class TestGridSpec:
         assert spec.spacing == 2.0
 
 
-class TestSortedAxisCoords:
-    def test_rotation_zero_axes(self):
-        v = make_triangle((0.0, 0.0), 1.0, 0.0)
-        xs = sorted_axis_coords(v, "x")
-        ys = sorted_axis_coords(v, "y")
-        assert xs == pytest.approx((-0.28868, -0.28868, 0.57735), abs=5e-6)
-        assert ys == pytest.approx((-0.5, 0.0, 0.5), abs=1e-12)
-
-    def test_stable_under_vertex_permutation(self):
-        rng = RngConfig(53, 0).stream()
-        for _ in range(100):
-            v = make_triangle((0.0, 0.0), 1.0, 2.0 * math.pi * rng.random())
-            shuffled = (v[2], v[0], v[1])
-            for axis in ("x", "y"):
-                assert sorted_axis_coords(v, axis) == sorted_axis_coords(shuffled, axis)
-
-    def test_output_is_sorted_permutation_of_input(self):
-        v = make_triangle((0.0, 0.0), 1.0, 0.987)
-        for axis, i in (("x", 0), ("y", 1)):
-            out = sorted_axis_coords(v, axis)
-            assert list(out) == sorted(out)
-            assert sorted(out) == sorted(p[i] for p in v)
-
-    def test_bad_axis(self):
-        v = make_triangle((0.0, 0.0), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            sorted_axis_coords(v, "z")
-
-
-class TestCountLineCrossingsSorted:
-    COORDS = (-0.28868, -0.28868, 0.57735)
-
-    def test_line_through_interior(self):
-        assert count_line_crossings_sorted(self.COORDS, 0.0) == 2
-
-    def test_line_above_extent(self):
-        assert count_line_crossings_sorted(self.COORDS, 0.6) == 0
-
-    def test_half_open_lower_bound(self):
-        assert count_line_crossings_sorted(self.COORDS, -0.28868) == 0
-
-    def test_half_open_upper_bound(self):
-        assert count_line_crossings_sorted(self.COORDS, 0.57735) == 2
-
-    def test_matches_direct_side_intersections(self):
-        # rotation-0 triangle, y axis: true sides are (0, 0.5), (0.5, -0.5), (-0.5, 0)
-        v = make_triangle((0.0, 0.0), 1.0, 0.0)
-        ys = [p[1] for p in v]
-        direct = sum(
-            segment_crosses_line(ys[a], ys[b], 0.25) for a, b in ((0, 1), (1, 2), (2, 0))
-        )
-        assert count_line_crossings_sorted((-0.5, 0.0, 0.5), 0.25) == direct == 2
-
-
 class TestSegmentCrossesLine:
     def test_interior(self):
         assert segment_crosses_line(0.0, 1.0, 0.5) is True
@@ -181,62 +127,68 @@ class TestSegmentCrossesLine:
 class TestCrossingsPerCast:
     def test_worked_example_centered_grid(self):
         v = make_triangle((0.0, 0.0), 1.0, 0.0)
-        grid = GridSpec(1.0, 0.0, 0.25)
-        tally = crossings_per_cast(v, grid)
-        assert tally == CrossingTally(2, 2)
-        assert tally == brute_force_tally(v, grid)
+        assert crossings_per_cast(v, 0.0, 0.25) == (2, 2)
+        assert brute_force_tally(v, 0.0, 0.25) == (2, 2)
 
     def test_worked_example_shifted_grid(self):
         v = make_triangle((0.0, 0.0), 1.0, 0.0)
-        grid = GridSpec(1.0, 0.7, 0.7)
-        tally = crossings_per_cast(v, grid)
-        assert tally == CrossingTally(0, 2)
-        assert tally == brute_force_tally(v, grid)
+        assert crossings_per_cast(v, 0.7, 0.7) == (0, 2)
+        assert brute_force_tally(v, 0.7, 0.7) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "offset_x, offset_y, expected",
+        [
+            (0.25, 0.25, (2, 2)),
+            (0.625, 0.25, (0, 2)),
+            (0.75, 0.25, (0, 2)),
+            (0.5, 0.25, (2, 2)),
+            (0.25, 0.0, (2, 2)),
+        ],
+        ids=["interior", "outside-extent", "at-min", "at-max", "at-middle-vertex"],
+    )
+    def test_half_open_rule_at_exact_ties(self, offset_x, offset_y, expected):
+        # x extent (-0.25, 0.5] with two vertices at the min; y vertices -0.5, 0, 0.5
+        assert crossings_per_cast(DYADIC, offset_x, offset_y) == expected
+        assert brute_force_tally(DYADIC, offset_x, offset_y) == expected
 
     def test_matches_brute_force_on_random_casts(self):
-        rng = RngConfig(54, 0).stream()
-        for _ in range(2000):
-            v, grid = _random_cast(rng)
-            assert crossings_per_cast(v, grid) == brute_force_tally(v, grid)
+        rotation, offset_x, offset_y = _random_casts(54, 2000)
+        v = make_triangle((0.0, 0.0), 1.0, rotation)
+        count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
+        for i in range(rotation.size):
+            expected = brute_force_tally(cast_vertices(v, i), offset_x[i], offset_y[i])
+            assert (count_x[i], count_y[i]) == expected
+            assert crossings_per_cast(cast_vertices(v, i), offset_x[i], offset_y[i]) == expected
 
     def test_per_family_counts_even_and_bounded(self):
-        rng = RngConfig(55, 0).stream()
-        for _ in range(2000):
-            v, grid = _random_cast(rng)
-            tally = crossings_per_cast(v, grid)
-            assert tally.count_x in (0, 2)
-            assert tally.count_y in (0, 2)
-            assert tally.total in (0, 2, 4)
+        rotation, offset_x, offset_y = _random_casts(55, 2000)
+        count_x, count_y = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y)
+        assert set(count_x.tolist()) == {0, 2}
+        assert set(count_y.tolist()) == {0, 2}
+        assert set((count_x + count_y).tolist()) <= {0, 2, 4}
 
     def test_rotation_periodicity(self):
-        rng = RngConfig(56, 0).stream()
-        for _ in range(500):
-            cast = sample_cast(rng, 1.0)
-            grid = GridSpec(1.0, cast.offset_x, cast.offset_y)
-            a = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, cast.rotation), grid)
-            b = crossings_per_cast(
-                make_triangle((0.0, 0.0), 1.0, cast.rotation + THIRD_TURN), grid
-            )
-            assert a == b
+        rotation, offset_x, offset_y = _random_casts(56, 500)
+        a = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y)
+        b = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, rotation + THIRD_TURN), offset_x, offset_y)
+        np.testing.assert_array_equal(a, b)
 
     def test_translation_covariance(self):
-        rng = RngConfig(57, 0).stream()
-        for _ in range(500):
-            cast = sample_cast(rng, 1.0)
-            grid = GridSpec(1.0, cast.offset_x, cast.offset_y)
-            at_origin = crossings_per_cast(
-                make_triangle((0.0, 0.0), 1.0, cast.rotation), grid
-            )
-            shifted = crossings_per_cast(
-                make_triangle((1.0, 0.0), 1.0, cast.rotation), grid
-            )
-            assert at_origin == shifted
+        rotation, offset_x, offset_y = _random_casts(57, 500)
+        at_origin = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y)
+        shifted = crossings_per_cast(make_triangle((1.0, 0.0), 1.0, rotation), offset_x, offset_y)
+        np.testing.assert_array_equal(at_origin, shifted)
 
     def test_wide_spacing_no_lines_in_extent(self):
         v = make_triangle((0.0, 0.0), 1.0, 0.1)
-        tally = crossings_per_cast(v, GridSpec(10.0, 5.0, 5.0))
-        assert tally == CrossingTally(0, 0)
+        assert crossings_per_cast(v, 5.0, 5.0, spacing=10.0) == (0, 0)
 
-    def test_tally_validation(self):
-        with pytest.raises(ValueError):
-            CrossingTally(-1, 0)
+    def test_broadcasts_over_a_lattice(self):
+        theta = np.array([[0.0], [0.3]])
+        offsets = np.array([0.0, 0.25, 0.7])
+        count_x, count_y = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, theta), offsets, offsets)
+        assert count_x.shape == count_y.shape == (2, 3)
+        for i, t in enumerate(theta[:, 0]):
+            v = make_triangle((0.0, 0.0), 1.0, float(t))
+            for j, off in enumerate(offsets):
+                assert (count_x[i, j], count_y[i, j]) == crossings_per_cast(v, off, off)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from buffon.sampling import CastSample, RngConfig, sample_cast, sample_offset, sample_rotation
+from buffon.sampling import CastSample, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream
 
@@ -15,21 +15,19 @@ CHI2_CRIT_99DOF_P999 = 148.23035916510173
 
 def test_rotation_range_and_distinct():
     rng = RngConfig(1, 0).stream()
-    first = sample_rotation(rng)
-    second = sample_rotation(rng)
+    (first, second), _, _ = draw_casts(rng, 2, 1.0)
     assert first != second
     for value in (first, second):
         assert 0.0 <= value < TWO_PI
 
 
 def test_rotation_sequences_reproducible():
-    a = [sample_rotation(RngConfig(9, 4).stream()) for _ in range(1)]
-    rng1 = RngConfig(9, 4).stream()
+    first = draw_casts(RngConfig(9, 4).stream(), 1, 1.0)[0]
+    seq1 = draw_casts(RngConfig(9, 4).stream(), 50, 1.0)[0]
     rng2 = RngConfig(9, 4).stream()
-    seq1 = [sample_rotation(rng1) for _ in range(50)]
-    seq2 = [sample_rotation(rng2) for _ in range(50)]
-    assert seq1 == seq2
-    assert seq1[0] == a[0]
+    seq2 = np.concatenate([draw_casts(rng2, 20, 1.0)[0], draw_casts(rng2, 30, 1.0)[0]])
+    assert seq1.tolist() == seq2.tolist()  # block size does not change the casts
+    assert seq1[0] == first[0]
 
 
 def test_rotation_mean_converges_to_pi():
@@ -41,8 +39,9 @@ def test_rotation_mean_converges_to_pi():
 def test_offset_range_unit_and_scaled():
     rng = RngConfig(13, 0).stream()
     for spacing in (1.0, 17320.5):
-        samples = [sample_offset(rng, spacing) for _ in range(10_000)]
-        assert all(0.0 <= s < spacing for s in samples)
+        _, offset_x, offset_y = draw_casts(rng, 10_000, spacing)
+        for samples in (offset_x, offset_y):
+            assert ((0.0 <= samples) & (samples < spacing)).all()
 
 
 def test_offset_uniform_at_deciles():
@@ -64,9 +63,9 @@ def test_offset_no_modulo_bias_chi_square():
 def test_offset_invalid_spacing():
     rng = RngConfig(1, 0).stream()
     with pytest.raises(ValueError):
-        sample_offset(rng, 0.0)
+        draw_casts(rng, 1, 0.0)
     with pytest.raises(ValueError):
-        sample_offset(rng, -2.0)
+        draw_casts(rng, 1, -2.0)
 
 
 def test_cast_composes_three_draws_in_order():
