@@ -249,6 +249,9 @@ def main(argv=None) -> int:
     except (DegenerateSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
 
 
 def app() -> None:

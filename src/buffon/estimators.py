@@ -20,10 +20,13 @@ from .errors import DegenerateSampleError, UnsupportedConfigurationError
 from .geometry import crossings_per_cast, make_triangle
 from .sampling import RngConfig, draw_casts
 
-# Casts per vectorized block.  Bigger blocks fall out of cache: on a 2-core
-# Xeon with numpy 2.4, 6e6 casts took a median 1.21 s at 1 << 16 against
-# 1.60 s at 1 << 18 (1 << 14 and 1 << 15 were no faster), and the peak RSS
-# of `buffon estimate --trials 6000000` fell from 69 MB to 45 MB.
+# Casts per vectorized block.  With the one-cos/sin-pair triangle, 6e6 casts
+# on a 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.86 s
+# (0.79-0.96) at 1 << 14, 0.79 s (0.75-0.94) at 1 << 15, 0.81 s (0.77-0.93)
+# at 1 << 16 and 0.88 s (0.83-0.91) at 1 << 17, twelve runs each: no size
+# wins beyond host noise.  Peak RSS grows with the block (38, 41, 45 and
+# 53 MB in process), and 1 << 18 measured slower than 1 << 16 (1.60 s
+# against 1.21 s with six trig calls per cast).
 _BLOCK = 1 << 16
 
 
@@ -135,8 +138,9 @@ def run_triangle_trials(
 
     The triangle is centered at the origin; each cast draws a rotation and
     the two grid offsets from ``rng`` (anything with the Generator
-    ``random(size)`` interface).  Requires ``side == spacing``, the only
-    configuration the 12/pi crossing rate holds for.
+    ``random(size)`` interface).  Requires ``side == spacing``: the rate is
+    ``12 * side / (pi * spacing)`` crossings per cast at any ratio, but the
+    estimators here are scaled for the ratio 1 (12/pi) only.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")

@@ -2,7 +2,11 @@
 
 A cast triangle is built from its circumcircle: vertex k sits at angle
 ``rotation + k * 2*pi/3`` on the circle of radius ``side / sqrt(3)`` around
-the center.  Crossings are counted by one elementwise function,
+the center.  Only vertex 0 takes trig calls, ``(c, s) = r * (cos(rotation),
+sin(rotation))``; the angle-addition identity with ``cos(2*pi/3) = -1/2``
+and ``sin(2*pi/3) = h = sqrt(3)/2`` gives the other two as ``(-c/2 - h*s,
+-s/2 + h*c)`` and ``(-c/2 + h*s, -s/2 - h*c)``, so a cast costs one
+cos/sin pair.  Crossings are counted by one elementwise function,
 ``crossings_per_cast``, for a single cast or a whole block of casts.  It
 uses a half-open rule: a grid line at ``p`` is straddled iff ``lo < p <=
 hi`` over the vertex coordinates, and then crosses exactly two sides (a
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
+HALF_SQRT3 = SQRT3 / 2.0
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
 
@@ -73,7 +78,10 @@ def make_triangle(center: Point, side: float, rotation: float | np.ndarray) -> V
     """Vertices of the equilateral triangle inscribed in its circumcircle.
 
     Vertex k is ``center + r * (cos(rotation + k*2*pi/3),
-    sin(rotation + k*2*pi/3))`` with ``r = side / sqrt(3)``.  Vertices are
+    sin(rotation + k*2*pi/3))`` with ``r = side / sqrt(3)``.  One cos/sin
+    pair gives vertex 0, ``(c, s)``; rotating it by a third turn twice gives
+    ``(-c/2 - h*s, -s/2 + h*c)`` and ``(-c/2 + h*s, -s/2 - h*c)`` with ``h =
+    sqrt(3)/2``.  The center is then added to each vertex.  Vertices are
     returned in construction order, not sorted.  ``rotation`` is a float or
     an array of rotations, one cast each; any finite rotation is accepted.
     """
@@ -85,11 +93,15 @@ def make_triangle(center: Point, side: float, rotation: float | np.ndarray) -> V
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError(f"center must be finite, got {center}")
     r = side / SQRT3
-    points = []
-    for k in range(3):
-        angle = rotation + k * THIRD_TURN
-        points.append((cx + r * np.cos(angle), cy + r * np.sin(angle)))
-    return (points[0], points[1], points[2])
+    c = r * np.cos(rotation)
+    s = r * np.sin(rotation)
+    half_c, half_s = 0.5 * c, 0.5 * s
+    hc, hs = HALF_SQRT3 * c, HALF_SQRT3 * s
+    return (
+        (cx + c, cy + s),
+        (cx + (-half_c - hs), cy + (-half_s + hc)),
+        (cx + (-half_c + hs), cy + (-half_s - hc)),
+    )
 
 
 def crossings_per_cast(

@@ -67,7 +67,9 @@ def expected_crossings_closed_form(side: float, spacing: float) -> float:
 
     Each line family straddles the triangle with expected multiplicity
     mean width / spacing, each straddled line is crossed twice, and there
-    are two families.  Only defined for side == spacing.
+    are two families.  The same argument (Cauchy-Crofton) gives
+    ``12 * side / (pi * spacing)`` at any ratio; this function covers
+    side == spacing only, the one configuration the package models.
     """
     if side != spacing:
         raise UnsupportedConfigurationError(

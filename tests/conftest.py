@@ -1,5 +1,6 @@
-"""Shared test helpers: a scripted RNG stand-in and a brute-force crossing
-reference that shares no counting code with the package."""
+"""Shared test helpers: a scripted RNG stand-in, and vertex and brute-force
+crossing references that share no geometry or counting code with the
+package."""
 
 from __future__ import annotations
 
@@ -25,6 +26,15 @@ class StubStream:
             raise IndexError("stub stream exhausted")
         self._pos += size
         return np.asarray(chunk, dtype=np.float64)
+
+
+def reference_vertices(center, side: float, rotation: float):
+    """Vertex k at angle ``rotation + k*2*pi/3`` on the circumcircle, each
+    from its own ``math.cos``/``math.sin`` pair."""
+    cx, cy = center
+    r = side / math.sqrt(3.0)
+    angles = [rotation + k * 2.0 * math.pi / 3.0 for k in range(3)]
+    return tuple((cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles)
 
 
 def segment_crosses_line(p_coord: float, q_coord: float, line_pos: float) -> bool:

@@ -1,12 +1,15 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from buffon.cli import main
 from buffon.estimators import run_batch
 from buffon.sampling import RngConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestEstimateCommand:
@@ -25,6 +28,14 @@ class TestEstimateCommand:
         assert report["seed"] == 42
         assert 3.0 < report["pi_estimate"] < 3.3
         assert report["pi_estimate"] == 12.0 * 200000 / (report["count_x"] + report["count_y"])
+
+    def test_readme_example_output(self, capsys):
+        # The README shows this command's full stdout; it also pins the kernel's counts.
+        text = README.read_text(encoding="utf-8")
+        intro = "`estimate` prints the per-family crossing rates and the pi estimate:\n\n```\n"
+        shown = text.split(intro, 1)[1].split("```", 1)[0]
+        assert main(["estimate", "--trials", "1000000", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == shown
 
     def test_estimate_in_five_sigma_band(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -186,6 +197,13 @@ class TestValidateCommand:
     def test_nonpositive_mc_trials_is_usage_error(self, capsys, trials):
         assert main(["validate", "--resolution", "8", "--mc-trials", trials, "--seed", "1"]) == 1
         assert "--mc-trials must be >= 1" in capsys.readouterr().err
+
+    def test_oversized_lattice_is_runtime_error(self, capsys):
+        # 2e6 x 2e7 lattice points ask numpy for 291 TiB, refused at allocation.
+        assert main(["validate", "--resolution", "2000000x20000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
 
     def test_bad_resolution_strings(self):
         assert main(["validate", "--resolution", "abc"]) == 1

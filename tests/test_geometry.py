@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from buffon.geometry import THIRD_TURN, GridSpec, TriangleSpec, crossings_per_cast, make_triangle
 from buffon.sampling import RngConfig, draw_casts
 
-from conftest import brute_force_tally, cast_vertices, segment_crosses_line
+from conftest import brute_force_tally, cast_vertices, reference_vertices, segment_crosses_line
 
 SQRT3 = math.sqrt(3.0)
 
@@ -15,8 +17,18 @@ SQRT3 = math.sqrt(3.0)
 DYADIC = ((0.5, 0.0), (-0.25, 0.5), (-0.25, -0.5))
 
 
+# In exact arithmetic, multiples of pi/6 give two vertices (or a vertex and
+# the center) a shared coordinate and an axis extent of exactly one side;
+# multiples of pi/4 put a vertex on a diagonal, with equal x and y.
+TIE_ROTATIONS = sorted({k * math.pi / 6.0 for k in range(12)} | {k * math.pi / 4.0 for k in range(8)})
+
+
 def _random_casts(seed, n):
     return draw_casts(RngConfig(seed, 0).stream(), n, 1.0)
+
+
+def _max_abs_gap(v, w):
+    return max(abs(a - b) for p, q in zip(v, w) for a, b in zip(p, q))
 
 
 class TestMakeTriangle:
@@ -53,6 +65,36 @@ class TestMakeTriangle:
             assert cast_vertices(block, i) == make_triangle((0.3, -1.7), 2.5, float(rotation))
         with pytest.raises(ValueError):
             make_triangle((0.0, 0.0), 1.0, np.array([0.0, float("nan")]))
+
+    @pytest.mark.parametrize("side", [1.0, 3.7])
+    def test_matches_reference_on_random_rotations(self, side):
+        rotations = 2.0 * math.pi * RngConfig(58, 0).stream().random(10_000)
+        block = make_triangle((0.0, 0.0), side, rotations)
+        for i, rotation in enumerate(rotations.tolist()):
+            gap = _max_abs_gap(cast_vertices(block, i), reference_vertices((0.0, 0.0), side, rotation))
+            assert gap <= 1e-15 * side
+
+    @pytest.mark.parametrize("side", [1.0, 3.7])
+    def test_matches_reference_at_multiples_of_pi_over_6(self, side):
+        for k in range(12):
+            rotation = k * math.pi / 6.0
+            v = make_triangle((0.0, 0.0), side, rotation)
+            assert _max_abs_gap(v, reference_vertices((0.0, 0.0), side, rotation)) <= 1e-15 * side
+
+    def test_one_cos_sin_pair_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+        monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+        make_triangle((0.0, 0.0), 1.0, np.linspace(0.0, 6.0, 7))
+        assert sorted(calls) == ["cos", "sin"]
 
     @pytest.mark.parametrize("side", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_side(self, side):
@@ -192,3 +234,55 @@ class TestCrossingsPerCast:
             v = make_triangle((0.0, 0.0), 1.0, float(t))
             for j, off in enumerate(offsets):
                 assert (count_x[i, j], count_y[i, j]) == crossings_per_cast(v, off, off)
+
+
+class TestCrossingsAtTies:
+    """Property tests of the counter against the brute-force side-by-side
+    count on casts built to hit the half-open rule's ties.
+
+    A line through the offset itself, or any line when the offset is 0 on
+    a unit grid, sits at an exact position, so both counts decide it
+    exactly.  A second vertex within rounding of another line (a double
+    tie: the float triangle spans a whole spacing) is decided by rounding,
+    which the two counts do differently (``hi - offset`` against ``offset
+    + k*spacing``); such casts are left out of the equality checks.
+    """
+
+    @staticmethod
+    def _near_other_line(v, axis, offset):
+        gaps = [float(p[axis]) - offset for p in v]
+        return any(abs(g - round(g)) < 1e-12 and round(g) != 0 for g in gaps)
+
+    @given(
+        rotation=st.sampled_from(TIE_ROTATIONS),
+        vertex=st.integers(0, 2),
+        axis=st.integers(0, 1),
+        other_offset=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_vertex_coordinate_as_offset(self, rotation, vertex, axis, other_offset):
+        v = make_triangle((0.0, 0.0), 1.0, rotation)
+        offsets = [other_offset, other_offset]
+        offsets[axis] = float(v[vertex][axis])
+        assume(not any(self._near_other_line(v, a, offsets[a]) for a in (0, 1)))
+        assert crossings_per_cast(v, *offsets) == brute_force_tally(v, *offsets)
+
+    @given(
+        rotation=st.sampled_from(TIE_ROTATIONS) | st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        cx=st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0),
+        cy=st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0),
+    )
+    def test_offset_zero(self, rotation, cx, cy):
+        v = make_triangle((cx, cy), 1.0, rotation)
+        assert crossings_per_cast(v, 0.0, 0.0) == brute_force_tally(v, 0.0, 0.0)
+
+    @given(
+        rotation=st.sampled_from(TIE_ROTATIONS),
+        offset_x=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+        offset_y=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_tie_rotations_any_offset(self, rotation, offset_x, offset_y):
+        v = make_triangle((0.0, 0.0), 1.0, rotation)
+        assume(not (self._near_other_line(v, 0, offset_x) or self._near_other_line(v, 1, offset_y)))
+        count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
+        assert (count_x, count_y) == brute_force_tally(v, offset_x, offset_y)
+        assert count_x in (0, 2) and count_y in (0, 2)
