@@ -16,6 +16,7 @@ from .estimators import (
     estimate_pi_triangle,
     run_batch,
     run_needle_trials,
+    run_trials,
     run_triangle_trials,
     summarize,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "render_histogram",
     "run_batch",
     "run_needle_trials",
+    "run_trials",
     "run_triangle_trials",
     "sample_cast",
     "scene_for_cast",

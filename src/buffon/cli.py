@@ -12,6 +12,7 @@ import json
 import os
 import secrets
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .errors import DegenerateSampleError
@@ -19,8 +20,7 @@ from .estimators import (
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
-    run_needle_trials,
-    run_triangle_trials,
+    run_trials,
     summarize,
 )
 from .geometry import GridSpec, TriangleSpec, crossings_per_cast
@@ -49,6 +49,19 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -58,10 +71,11 @@ def cmd_estimate(args) -> int:
         raise ValueError("--ratio only applies to --method needle")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
-    rng = RngConfig(seed, 0).stream()
+    ratio = 1.0 if args.ratio is None else args.ratio
+    agg = run_trials(args.trials, RngConfig(seed, 0), args.method, ratio=ratio, workers=args.workers)
     if args.method == "triangle":
-        agg = run_triangle_trials(args.trials, rng)
         summary = estimate_pi_triangle(agg)
         print(f"count_x = {agg.count_x_total}\tcount_x/trials = {agg.count_x_total / agg.trials:.6f}")
         print(f"count_y = {agg.count_y_total}\tcount_y/trials = {agg.count_y_total / agg.trials:.6f}")
@@ -75,8 +89,6 @@ def cmd_estimate(args) -> int:
             "standard_error": summary.standard_error,
         }
     else:
-        ratio = 1.0 if args.ratio is None else args.ratio
-        agg = run_needle_trials(args.trials, rng, ratio)
         summary = estimate_pi_needle(agg)
         print(f"hits = {agg.hits}\thits/trials = {agg.hits / agg.trials:.6f}")
         report = {
@@ -101,8 +113,7 @@ def cmd_batch(args) -> int:
         raise ValueError("--ratio only applies to --method needle")
     if args.runs < 1 or args.trials < 1:
         raise ValueError("--runs and --trials must be >= 1")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
     ratio = 1.0 if args.ratio is None else args.ratio
     result = run_batch(
@@ -177,8 +188,7 @@ def cmd_validate(args) -> int:
     ok = gap < args.tolerance
     if args.mc_trials is not None:
         seed = _resolve_seed(args.seed)
-        rng = RngConfig(seed, 0).stream()
-        agg = run_triangle_trials(args.mc_trials, rng)
+        agg = run_trials(args.mc_trials, RngConfig(seed, 0), workers=_usable_cpus())
         mc_mean = agg.crossing_rate
         se = agg.crossing_rate_standard_error()
         print(f"monte carlo mean ({agg.trials} trials) = {mc_mean:.6f}")
@@ -205,6 +215,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed; generated and printed if omitted")
     p.add_argument("--ratio", type=float, default=None, help="needle length / line spacing (needle only, default 1)")
     p.add_argument("--json", default=None, metavar="PATH", help="write a JSON report")
+    p.add_argument("--workers", type=int, default=_usable_cpus(), help="worker processes (default: usable CPUs)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("batch", help="many runs on independent streams, with histogram")
@@ -216,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=40, help="histogram bin count")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-run estimates")
     p.add_argument("--svg", default=None, metavar="PATH", help="write the histogram figure")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_usable_cpus(), help="worker processes (default: usable CPUs)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("render", help="write SVG snapshots of the first casts of a stream")
@@ -251,6 +262,12 @@ def main(argv=None) -> int:
         return _FAILURE_EXIT
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return _FAILURE_EXIT
 
 

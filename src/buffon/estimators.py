@@ -1,4 +1,4 @@
-"""Trial loops, batch runner and cross-run statistics.
+"""Trial loops, one scheduler for runs and batches, and cross-run statistics.
 
 The triangle trial loop composes, per block of casts: draw (rotation,
 offset_x, offset_y) with ``sampling.draw_casts``, build the triangles at the
@@ -6,11 +6,22 @@ origin with ``geometry.make_triangle`` and count grid-line crossings with
 ``geometry.crossings_per_cast``.  All three work elementwise, so a block of
 casts and a single cast go through the same code, and tallies do not depend
 on the block size.
+
+One scheduler runs everything: a run of n casts on stream k is cut into work
+units of at most ``_BLOCK`` casts, each starting at a multiple of ``_BLOCK``
+and drawing from its own generator positioned at its first cast (see
+``sampling``).  ``tally_casts`` turns a unit into integer tallies, and the
+tallies of a run's units are summed exactly.  ``run_trials`` (one run) and
+``run_batch`` (run k on stream k) both map units over a process pool, so a
+single long run uses every worker, and no count, estimate or output byte
+depends on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import signal
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, UnsupportedConfigurationError
 from .geometry import crossings_per_cast, make_triangle
-from .sampling import RngConfig, draw_casts
+from .sampling import UNIFORMS_PER_CAST, RngConfig, draw_casts
 
 # Casts per vectorized block.  With the one-cos/sin-pair triangle, 6e6 casts
 # on a 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.86 s
@@ -28,6 +39,12 @@ from .sampling import RngConfig, draw_casts
 # 53 MB in process), and 1 << 18 measured slower than 1 << 16 (1.60 s
 # against 1.21 s with six trig calls per cast).
 _BLOCK = 1 << 16
+# Casts per pool task: the scheduler sends units to a worker in groups of at
+# most this many casts, so a task takes tens of milliseconds and an
+# interrupted pool stops soon.
+_TASK_CASTS = 1 << 18
+# Uniforms per needle drop: (distance, angle).
+_UNIFORMS_PER_DROP = 2
 
 
 @dataclass(frozen=True)
@@ -197,8 +214,8 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
     remaining = n
     while remaining:
         m = min(_BLOCK, remaining)
-        u = rng.random(2 * m)
-        u = np.asarray(u, dtype=np.float64).reshape(m, 2)
+        u = rng.random(_UNIFORMS_PER_DROP * m)
+        u = np.asarray(u, dtype=np.float64).reshape(m, _UNIFORMS_PER_DROP)
         dist = u[:, 0].copy()
         dist *= 0.5
         ang = u[:, 1].copy()
@@ -219,15 +236,82 @@ def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
     return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
 
 
-def _run_one(args: tuple[int, int, int, str, float]) -> float:
-    seed, stream_id, trials, method, ratio = args
-    rng = RngConfig(seed, stream_id).stream()
-    try:
-        if method == "triangle":
-            return estimate_pi_triangle(run_triangle_trials(trials, rng)).pi_estimate
-        return estimate_pi_needle(run_needle_trials(trials, rng, ratio)).pi_estimate
-    except DegenerateSampleError as exc:
-        raise DegenerateSampleError(f"run {stream_id}: {exc}") from None
+def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
+    """Integer tallies of one work unit ``(seed, stream_id, start_cast, n_casts, method, ratio)``.
+
+    The unit covers casts ``start_cast .. start_cast + n_casts - 1`` of stream
+    ``(seed, stream_id)``, which must start on a Philox counter boundary (see
+    ``sampling``).  Returns ``(count_x, count_y, sq_sum)`` for the triangle and
+    ``(hits,)`` for the needle.
+    """
+    seed, stream_id, start_cast, n_casts, method, ratio = unit
+    config = RngConfig(seed, stream_id)
+    if method == "triangle":
+        agg = run_triangle_trials(n_casts, config.stream(start_cast * UNIFORMS_PER_CAST))
+        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
+    return (run_needle_trials(n_casts, config.stream(start_cast * _UNIFORMS_PER_DROP), ratio).hits,)
+
+
+def _ignore_sigint() -> None:
+    # Ctrl-C signals the whole process group; only the parent handles it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_streams(
+    seed: int, streams: Sequence[int], trials: int, method: str, ratio: float, workers: int
+) -> list[TrialAggregate] | list[NeedleAggregate]:
+    """Aggregates of one run of ``trials`` casts on each of ``streams``, in order.
+
+    Each run is cut into units of at most ``_BLOCK`` casts.  With more than
+    one worker and more than one unit, units are mapped over a process pool;
+    a run of one unit, or one worker, runs in this process.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if method not in ("triangle", "needle"):
+        raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
+    if method == "needle" and not 0 < ratio <= 1:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    units = [
+        (seed, k, start, min(_BLOCK, trials - start), method, ratio)
+        for k in streams
+        for start in range(0, trials, _BLOCK)
+    ]
+    if workers > 1 and len(units) > 1:
+        # Tasks of at most _TASK_CASTS casts, smaller where that would leave
+        # fewer than four tasks per worker.
+        chunksize = max(1, min(len(units) // (4 * workers), _TASK_CASTS // units[0][3]))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(units)), initializer=_ignore_sigint)
+        try:
+            tallies = list(pool.map(tally_casts, units, chunksize=chunksize))
+        finally:
+            # On an error or Ctrl-C, even one that comes while map is still
+            # submitting, drop the queued tasks and wait only for the running ones.
+            pool.shutdown(cancel_futures=True)
+    else:
+        tallies = list(map(tally_casts, units))
+    per_run = len(tallies) // len(streams)
+    sums = [tuple(map(sum, zip(*tallies[i : i + per_run]))) for i in range(0, len(tallies), per_run)]
+    if method == "triangle":
+        return [TrialAggregate(trials, *tally) for tally in sums]
+    return [NeedleAggregate(trials, hits, ratio) for (hits,) in sums]
+
+
+def run_trials(
+    trials: int,
+    config: RngConfig,
+    method: str = "triangle",
+    *,
+    ratio: float = 1.0,
+    workers: int = 1,
+) -> TrialAggregate | NeedleAggregate:
+    """One run of ``trials`` casts on stream ``config.stream_id``, split over ``workers``.
+
+    Equal to ``run_triangle_trials`` (or ``run_needle_trials``) on
+    ``config.stream()``, at any worker count.
+    """
+    (agg,) = _run_streams(config.seed, (config.stream_id,), trials, method, ratio, workers)
+    return agg
 
 
 def run_batch(
@@ -247,18 +331,16 @@ def run_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if method not in ("triangle", "needle"):
-        raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
-    tasks = [(config.seed, k, trials, method, ratio) for k in range(runs)]
-    if workers > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            estimates = tuple(pool.map(_run_one, tasks, chunksize=max(1, runs // (workers * 4))))
-    else:
-        estimates = tuple(map(_run_one, tasks))
+    estimate = estimate_pi_triangle if method == "triangle" else estimate_pi_needle
+    estimates = []
+    for k, agg in enumerate(_run_streams(config.seed, range(runs), trials, method, ratio, workers)):
+        try:
+            estimates.append(estimate(agg).pi_estimate)
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"run {k}: {exc}") from None
+    estimates = tuple(estimates)
     stats = summarize(estimates)
     values = np.asarray(estimates)
     counts, edges = np.histogram(values, bins=bins, range=(float(values.min()), float(values.max())))

@@ -3,6 +3,15 @@
 Streams are counter-based: stream k under seed s is a Philox generator
 keyed with ``(s, k)``, so any subset of runs can be drawn independently,
 in any order and on any number of workers, with identical results.
+
+A stream can also start part-way.  Philox makes four 64-bit words per
+counter step and each uniform takes one word, so ``stream(start)`` advances
+the counter by ``start / 4`` and needs ``start % 4 == 0``.  A triangle cast
+takes ``UNIFORMS_PER_CAST = 3`` uniforms, so cast ``c`` starts at counter
+``3c/4``; a needle drop takes two, so drop ``d`` starts at ``d/2``.  Work
+units whose first cast is a multiple of 4 (the estimators cut runs at
+multiples of their block size) therefore draw exactly the casts of one
+straight pass over the stream.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ import numpy as np
 from .geometry import TWO_PI
 
 _UINT64_MAX = (1 << 64) - 1
+# Uniforms per triangle cast: (rotation, offset_x, offset_y).
+UNIFORMS_PER_CAST = 3
+# Uniforms per Philox counter step.
+_UNIFORMS_PER_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -30,9 +43,16 @@ class RngConfig:
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
-    def stream(self) -> np.random.Generator:
-        """A fresh generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+    def stream(self, start: int = 0) -> np.random.Generator:
+        """A fresh generator positioned at uniform ``start`` of this stream.
+
+        ``start`` must be a multiple of 4, a Philox counter boundary.
+        """
+        if start < 0 or start % _UNIFORMS_PER_STEP:
+            raise ValueError(f"stream start must be a nonnegative multiple of 4, got {start}")
+        bit_generator = np.random.Philox(key=[self.seed, self.stream_id])
+        bit_generator.advance(start // _UNIFORMS_PER_STEP)
+        return np.random.Generator(bit_generator)
 
     def with_stream(self, stream_id: int) -> "RngConfig":
         return RngConfig(self.seed, stream_id)
@@ -59,7 +79,7 @@ def draw_casts(
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    u = np.asarray(rng.random(3 * m), dtype=np.float64).reshape(m, 3)
+    u = np.asarray(rng.random(UNIFORMS_PER_CAST * m), dtype=np.float64).reshape(m, UNIFORMS_PER_CAST)
     return TWO_PI * u[:, 0], spacing * u[:, 1], spacing * u[:, 2]
 
 

@@ -1,15 +1,31 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from buffon.cli import main
+import buffon.cli as cli
+import buffon.estimators as estimators
+from buffon.cli import build_parser, main
 from buffon.estimators import run_batch
 from buffon.sampling import RngConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
+TEST_PID = os.getpid()
+
+
+def _die_in_worker(unit):
+    """Stand-in work unit: kills the pool worker that runs it."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the unit ran in the test process, not in a pool worker")
+    os._exit(1)
 
 
 class TestEstimateCommand:
@@ -75,6 +91,27 @@ class TestEstimateCommand:
 
     def test_unknown_method_is_usage_error(self):
         assert main(["estimate", "--method", "square", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
+        assert main(["estimate", "--trials", "100", "--seed", "1", "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the seed line, so before any work
+        assert "--workers must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
+    def test_worker_count_keeps_bytes_identical(self, tmp_path, capsys, method):
+        # Four block-sized units, the last of 5 casts: an uneven tail and more units than workers.
+        outputs = {}
+        for workers in ("1", "2", "3"):
+            report = tmp_path / f"w{workers}.json"
+            rc = main([
+                "estimate", *method, "--trials", str(3 * 65536 + 5), "--seed", "21",
+                "--workers", workers, "--json", str(report),
+            ])
+            assert rc == 0
+            outputs[workers] = (capsys.readouterr().out, report.read_bytes())
+        assert outputs["1"] == outputs["2"] == outputs["3"]
 
 
 class TestBatchCommand:
@@ -208,6 +245,80 @@ class TestValidateCommand:
     def test_bad_resolution_strings(self):
         assert main(["validate", "--resolution", "abc"]) == 1
         assert main(["validate", "--resolution", "360x200x100"]) == 1
+
+
+class TestWorkers:
+    def test_default_is_the_usable_cpus(self):
+        parser = build_parser()
+        usable = len(os.sched_getaffinity(0))
+        assert parser.parse_args(["estimate"]).workers == usable
+        assert parser.parse_args(["batch"]).workers == usable
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().parse_args(["estimate"]).workers == (os.cpu_count() or 1)
+
+    def test_dead_worker_is_runtime_error(self, monkeypatch, capfd):
+        # Fork workers inherit the patched unit and exit without a result.
+        monkeypatch.setattr(estimators, "tally_casts", _die_in_worker)
+        rc = main(["estimate", "--trials", str(2 * 65536), "--seed", "1", "--workers", "2"])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: a worker process died")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_interrupt_is_runtime_error(self, monkeypatch, capsys):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_batch", interrupt)
+        assert main(["batch", "--runs", "2", "--trials", "100", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    @staticmethod
+    def _interrupt(argv, delay):
+        """Run ``argv`` with ``src`` on the path, and send SIGINT to its process
+        group, as a terminal's Ctrl-C does, ``delay`` s after its seed line."""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == "seed = 1\n"
+            time.sleep(delay)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        return proc.returncode, out, err
+
+    @pytest.mark.parametrize("trials", ["1000000000", "10000000000"])
+    def test_ctrl_c_stops_a_long_run_without_a_traceback(self, trials):
+        # Minutes of work on two workers, so the queued units must be dropped.  Half
+        # a second in, 1e9 casts are all submitted to the pool, and 1e10 casts
+        # (152588 units) are still being submitted.
+        argv = ["-m", "buffon.cli", "estimate", "--trials", trials, "--seed", "1", "--workers", "2"]
+        assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
+
+    def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
+        # Unit 0 keeps one worker busy; the other has finished its unit and waits
+        # for work when the signal comes.
+        script = """
+import sys, time
+import buffon.cli as cli, buffon.estimators as estimators
+def unit(u):
+    if u[2] == 0:
+        time.sleep(2)
+    return (0, 1, 1)
+estimators.tally_casts = unit
+sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
+"""
+        assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")
 
 
 class TestTopLevel:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buffon.estimators as estimators
 from buffon.errors import DegenerateSampleError, UnsupportedConfigurationError
@@ -13,8 +15,10 @@ from buffon.estimators import (
     estimate_pi_triangle,
     run_batch,
     run_needle_trials,
+    run_trials,
     run_triangle_trials,
     summarize,
+    tally_casts,
 )
 from buffon.geometry import make_triangle
 from buffon.sampling import RngConfig, sample_cast
@@ -201,6 +205,67 @@ class TestRunBatch:
         result = run_batch(1, 1000, RngConfig(18, 0))
         assert result.stddev == 0.0
         assert len(result.estimates) == 1
+
+
+def _straight_tallies(n, config, method, ratio):
+    """The tallies of one unsplit pass over the stream."""
+    if method == "triangle":
+        agg = run_triangle_trials(n, config.stream())
+        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
+    return (run_needle_trials(n, config.stream(), ratio).hits,)
+
+
+class TestChunkedRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(["triangle", "needle"]),
+        seed=st.integers(0, (1 << 64) - 1),
+        stream_id=st.integers(0, (1 << 64) - 1),
+        n=st.integers(1, 3000),
+        cuts=st.lists(st.integers(1, 750), max_size=5),
+    )
+    def test_summed_chunk_tallies_equal_a_straight_run(self, method, seed, stream_id, n, cuts):
+        # A chunk may start at any multiple of 4 casts (triangle) or 2 drops (needle).
+        step = 4 if method == "triangle" else 2
+        bounds = sorted({0, n} | {c * step for c in cuts if c * step < n})
+        chunks = [
+            tally_casts((seed, stream_id, a, b - a, method, 0.5)) for a, b in zip(bounds, bounds[1:])
+        ]
+        summed = tuple(map(sum, zip(*chunks)))
+        assert summed == _straight_tallies(n, RngConfig(seed, stream_id), method, 0.5)
+
+    @pytest.mark.parametrize("method, start", [("triangle", 2), ("triangle", 6), ("needle", 1)])
+    def test_unit_off_a_counter_boundary_is_rejected(self, method, start):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            tally_casts((1, 0, start, 10, method, 0.5))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["triangle", "needle"])
+    def test_run_trials_equals_a_straight_run(self, monkeypatch, workers, method):
+        # Blocks of 256 casts make 1029 casts five units, four full and a tail of 5.
+        monkeypatch.setattr(estimators, "_BLOCK", 256)
+        config = RngConfig(19, 4)
+        agg = run_trials(1029, config, method, ratio=0.5, workers=workers)
+        expected = _straight_tallies(1029, config, method, 0.5)
+        if method == "triangle":
+            assert agg == TrialAggregate(1029, *expected)
+        else:
+            assert agg == NeedleAggregate(1029, expected[0], 0.5)
+
+    def test_batch_runs_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_BLOCK", 256)
+        result = run_batch(3, 1000, RngConfig(20, 0), workers=2)
+        for k in range(3):
+            agg = run_triangle_trials(1000, RngConfig(20, k).stream())
+            assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+
+    def test_run_trials_validation(self):
+        with pytest.raises(ValueError):
+            run_trials(0, RngConfig(1, 0))
+        with pytest.raises(ValueError):
+            run_trials(10, RngConfig(1, 0), "coin")
+        with pytest.raises(ValueError):
+            run_trials(10, RngConfig(1, 0), "needle", ratio=1.5)
 
 
 class TestSummarize:

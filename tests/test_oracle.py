@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import buffon.oracle as oracle
 from buffon.errors import UnsupportedConfigurationError
 from buffon.estimators import run_triangle_trials
 from buffon.geometry import make_triangle
@@ -16,6 +17,17 @@ TARGET = 12.0 / math.pi
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("slab", [200, 1400, 5000])
+    def test_slab_size_does_not_change_the_value(self, monkeypatch, slab):
+        whole = expected_crossings_quadrature(360, 200, theta_origin=0.1)
+        monkeypatch.setattr(oracle, "_SLAB_POINTS", slab)
+        assert expected_crossings_quadrature(360, 200, theta_origin=0.1) == whole
+
+    def test_offset_lattice_larger_than_a_slab_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SLAB_POINTS", 100)
+        with pytest.raises(MemoryError, match="slab"):
+            expected_crossings_quadrature(8, 101)
+
     def test_default_resolution_hits_target(self):
         value = expected_crossings_quadrature(360, 200)
         assert abs(value - TARGET) < 1e-3

@@ -117,3 +117,16 @@ def test_config_rejects_out_of_range_values():
     with pytest.raises(ValueError):
         RngConfig(1 << 64, 0)
     RngConfig((1 << 64) - 1, (1 << 64) - 1)  # extremes are valid
+
+
+@pytest.mark.parametrize("start", [4, 12, 65536, 100000, 131072])
+def test_stream_start_resumes_a_straight_draw(start):
+    config = RngConfig(42, 3)
+    straight = config.stream().random(start + 50)[start:]
+    assert np.array_equal(config.stream(start).random(50), straight)
+
+
+@pytest.mark.parametrize("start", [-4, 1, 2, 3, 6])
+def test_stream_start_off_a_counter_boundary(start):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        RngConfig(42, 3).stream(start)
