@@ -12,14 +12,18 @@ units of at most ``_BLOCK`` casts, each starting at a multiple of ``_BLOCK``
 and drawing from its own generator positioned at its first cast (see
 ``sampling``).  ``tally_casts`` turns a unit into integer tallies, and the
 tallies of a run's units are summed exactly.  ``run_trials`` (one run) and
-``run_batch`` (run k on stream k) both map units over a process pool, so a
-single long run uses every worker, and no count, estimate or output byte
-depends on the worker count.
+``run_batch`` (run k on stream k) both map units over a process pool, a
+window of units at a time, so a single long run uses every worker in
+bounded memory, and no count, estimate or output byte depends on the
+worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import signal
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +47,10 @@ _BLOCK = 1 << 16
 # most this many casts, so a task takes tens of milliseconds and an
 # interrupted pool stops soon.
 _TASK_CASTS = 1 << 18
+# Units submitted to the pool at once.  Runs are mapped window by window, so
+# memory stays flat however many casts they have; a full window is ~2.7e8
+# casts, and the pause at its end costs at most one task.
+_WINDOW_UNITS = 1 << 12
 # Uniforms per needle drop: (distance, angle).
 _UNIFORMS_PER_DROP = 2
 
@@ -262,9 +270,10 @@ def _run_streams(
 ) -> list[TrialAggregate] | list[NeedleAggregate]:
     """Aggregates of one run of ``trials`` casts on each of ``streams``, in order.
 
-    Each run is cut into units of at most ``_BLOCK`` casts.  With more than
-    one worker and more than one unit, units are mapped over a process pool;
-    a run of one unit, or one worker, runs in this process.
+    Each run is cut into units of at most ``_BLOCK`` casts, and a run's
+    integer tallies are summed as its units finish.  With more than one
+    worker and more than one unit, units are mapped over a process pool; a
+    run of one unit, or one worker, runs in this process.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -272,29 +281,32 @@ def _run_streams(
         raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
     if method == "needle" and not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    units = [
+    units = (
         (seed, k, start, min(_BLOCK, trials - start), method, ratio)
         for k in streams
         for start in range(0, trials, _BLOCK)
-    ]
-    if workers > 1 and len(units) > 1:
+    )
+    totals = {k: (0, 0, 0) if method == "triangle" else (0,) for k in streams}
+    n_units = len(streams) * -(-trials // _BLOCK)
+    pool, tally = None, map
+    if workers > 1 and n_units > 1:
         # Tasks of at most _TASK_CASTS casts, smaller where that would leave
         # fewer than four tasks per worker.
-        chunksize = max(1, min(len(units) // (4 * workers), _TASK_CASTS // units[0][3]))
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(units)), initializer=_ignore_sigint)
-        try:
-            tallies = list(pool.map(tally_casts, units, chunksize=chunksize))
-        finally:
+        per_task = min(min(n_units, _WINDOW_UNITS) // (4 * workers), _TASK_CASTS // min(_BLOCK, trials))
+        pool = ProcessPoolExecutor(max_workers=min(workers, n_units), initializer=_ignore_sigint)
+        tally = functools.partial(pool.map, chunksize=max(1, per_task))
+    try:
+        while window := list(itertools.islice(units, _WINDOW_UNITS)):
+            for unit, tallies in zip(window, tally(tally_casts, window)):
+                totals[unit[1]] = tuple(map(operator.add, totals[unit[1]], tallies))
+    finally:
+        if pool is not None:
             # On an error or Ctrl-C, even one that comes while map is still
             # submitting, drop the queued tasks and wait only for the running ones.
             pool.shutdown(cancel_futures=True)
-    else:
-        tallies = list(map(tally_casts, units))
-    per_run = len(tallies) // len(streams)
-    sums = [tuple(map(sum, zip(*tallies[i : i + per_run]))) for i in range(0, len(tallies), per_run)]
     if method == "triangle":
-        return [TrialAggregate(trials, *tally) for tally in sums]
-    return [NeedleAggregate(trials, hits, ratio) for (hits,) in sums]
+        return [TrialAggregate(trials, *totals[k]) for k in streams]
+    return [NeedleAggregate(trials, totals[k][0], ratio) for k in streams]
 
 
 def run_trials(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,11 +240,14 @@ class TestChunkedRuns:
         with pytest.raises(ValueError, match="multiple of 4"):
             tally_casts((1, 0, start, 10, method, 0.5))
 
+    @pytest.mark.parametrize("window", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
-    def test_run_trials_equals_a_straight_run(self, monkeypatch, workers, method):
-        # Blocks of 256 casts make 1029 casts five units, four full and a tail of 5.
+    def test_run_trials_equals_a_straight_run(self, monkeypatch, workers, method, window):
+        # Blocks of 256 casts make 1029 casts five units, four full and a tail of 5;
+        # windows of 2 units map them in three rounds.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
+        monkeypatch.setattr(estimators, "_WINDOW_UNITS", window)
         config = RngConfig(19, 4)
         agg = run_trials(1029, config, method, ratio=0.5, workers=workers)
         expected = _straight_tallies(1029, config, method, 0.5)
@@ -253,11 +257,31 @@ class TestChunkedRuns:
             assert agg == NeedleAggregate(1029, expected[0], 0.5)
 
     def test_batch_runs_longer_than_a_block(self, monkeypatch):
+        # Three runs of four units, mapped in windows of 5, 5 and 2 units that span runs.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
+        monkeypatch.setattr(estimators, "_WINDOW_UNITS", 5)
         result = run_batch(3, 1000, RngConfig(20, 0), workers=2)
         for k in range(3):
             agg = run_triangle_trials(1000, RngConfig(20, k).stream())
             assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+
+    def test_units_are_built_one_window_at_a_time(self, monkeypatch):
+        # 1e10 casts are 152588 units, tens of MB if they were all built up front.
+        class Stop(Exception):
+            pass
+
+        def stop(unit):
+            raise Stop
+
+        monkeypatch.setattr(estimators, "tally_casts", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_trials(10**10, RngConfig(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_run_trials_validation(self):
         with pytest.raises(ValueError):
