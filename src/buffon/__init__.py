@@ -10,13 +10,13 @@ from .estimators import (
     BatchResult,
     EstimateSummary,
     NeedleAggregate,
+    SplitRun,
     SummaryStats,
     TrialAggregate,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
     run_needle_trials,
-    run_trials,
     run_triangle_trials,
     summarize,
 )
@@ -49,6 +49,7 @@ __all__ = [
     "HistogramScene",
     "NeedleAggregate",
     "RngConfig",
+    "SplitRun",
     "SummaryStats",
     "TrialAggregate",
     "TriangleSpec",
@@ -67,7 +68,6 @@ __all__ = [
     "render_histogram",
     "run_batch",
     "run_needle_trials",
-    "run_trials",
     "run_triangle_trials",
     "sample_cast",
     "scene_for_cast",

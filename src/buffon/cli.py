@@ -17,10 +17,12 @@ from pathlib import Path
 
 from .errors import DegenerateSampleError
 from .estimators import (
+    SplitRun,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
-    run_trials,
+    run_needle_trials,
+    run_triangle_trials,
     summarize,
 )
 from .geometry import GridSpec, TriangleSpec, crossings_per_cast
@@ -62,6 +64,17 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"--workers must be >= 1, got {workers}")
 
 
+def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int):
+    """One run on stream 0.  This process draws its share of the casts straight
+    from the start of the stream, as a one-worker run draws them all, while
+    ``workers - 1`` pool processes tally the rest."""
+    config = RngConfig(seed, 0)
+    with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
+        if method == "triangle":
+            return run.join(run_triangle_trials(run.head, config.stream()))
+        return run.join(run_needle_trials(run.head, config.stream(), ratio))
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -74,7 +87,7 @@ def cmd_estimate(args) -> int:
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
     ratio = 1.0 if args.ratio is None else args.ratio
-    agg = run_trials(args.trials, RngConfig(seed, 0), args.method, ratio=ratio, workers=args.workers)
+    agg = _run_stream_zero(args.trials, seed, args.method, ratio, args.workers)
     if args.method == "triangle":
         summary = estimate_pi_triangle(agg)
         print(f"count_x = {agg.count_x_total}\tcount_x/trials = {agg.count_x_total / agg.trials:.6f}")
@@ -188,7 +201,7 @@ def cmd_validate(args) -> int:
     ok = gap < args.tolerance
     if args.mc_trials is not None:
         seed = _resolve_seed(args.seed)
-        agg = run_trials(args.mc_trials, RngConfig(seed, 0), workers=_usable_cpus())
+        agg = _run_stream_zero(args.mc_trials, seed, "triangle", 1.0, _usable_cpus())
         mc_mean = agg.crossing_rate
         se = agg.crossing_rate_standard_error()
         print(f"monte carlo mean ({agg.trials} trials) = {mc_mean:.6f}")

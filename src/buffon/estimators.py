@@ -1,4 +1,4 @@
-"""Trial loops, one scheduler for runs and batches, and cross-run statistics.
+"""Trial loops, one work unit split over a process pool, and cross-run statistics.
 
 The triangle trial loop composes, per block of casts: draw (rotation,
 offset_x, offset_y) with ``sampling.draw_casts``, build the triangles at the
@@ -7,15 +7,23 @@ origin with ``geometry.make_triangle`` and count grid-line crossings with
 casts and a single cast go through the same code, and tallies do not depend
 on the block size.
 
-One scheduler runs everything: a run of n casts on stream k is cut into work
-units of at most ``_BLOCK`` casts, each starting at a multiple of ``_BLOCK``
-and drawing from its own generator positioned at its first cast (see
-``sampling``).  ``tally_casts`` turns a unit into integer tallies, and the
-tallies of a run's units are summed exactly.  ``run_trials`` (one run) and
-``run_batch`` (run k on stream k) both map units over a process pool, a
-window of units at a time, so a single long run uses every worker in
-bounded memory, and no count, estimate or output byte depends on the
-worker count.
+Runs are split into work units.  ``tally_casts`` turns a unit, casts
+``start .. start + n - 1`` of one stream with ``start`` a multiple of
+``_BLOCK``, into integer tallies, drawing from a generator positioned at its
+first cast (see ``sampling``).  Tallies of one stream sum exactly, so no
+count, estimate or output byte depends on how a run is cut or on the worker
+count.  Two schedulers map units over a process pool:
+
+- ``SplitRun`` runs one long run (``estimate``, and the Monte Carlo leg of
+  ``validate``, on stream 0): the calling process draws the head of the
+  stream straight with the trial loop, rather than wait, while
+  ``workers - 1`` pool processes tally the rest, unit by unit.
+- ``run_batch`` runs run k on stream k: each run is cut into units of at
+  most ``_BLOCK`` casts, and the units are mapped over ``workers`` pool
+  processes a window at a time, so memory stays flat however many runs
+  there are.
+
+A run of one unit, or one worker, never starts a pool.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, UnsupportedConfigurationError
 from .geometry import crossings_per_cast, make_triangle
-from .sampling import UNIFORMS_PER_CAST, RngConfig, draw_casts
+from .sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts
 
 # Casts per vectorized block.  With the one-cos/sin-pair triangle, 6e6 casts
 # on a 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.86 s
@@ -43,16 +51,15 @@ from .sampling import UNIFORMS_PER_CAST, RngConfig, draw_casts
 # 53 MB in process), and 1 << 18 measured slower than 1 << 16 (1.60 s
 # against 1.21 s with six trig calls per cast).
 _BLOCK = 1 << 16
-# Casts per pool task: the scheduler sends units to a worker in groups of at
-# most this many casts, so a task takes tens of milliseconds and an
-# interrupted pool stops soon.
+# Casts per pool task: the pool's share of a split run goes out in units of
+# this many casts, and batch runs longer than a block in groups of at most
+# this many, so a task takes tens of milliseconds and the workers finish
+# close together.
 _TASK_CASTS = 1 << 18
-# Units submitted to the pool at once.  Runs are mapped window by window, so
-# memory stays flat however many casts they have; a full window is ~2.7e8
-# casts, and the pause at its end costs at most one task.
+# Units in the pool at once.  Batches are mapped window by window, and a split
+# run uses larger units where it would have more than this many, so memory
+# stays flat however many casts there are.
 _WINDOW_UNITS = 1 << 12
-# Uniforms per needle drop: (distance, angle).
-_UNIFORMS_PER_DROP = 2
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,8 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
     remaining = n
     while remaining:
         m = min(_BLOCK, remaining)
-        u = rng.random(_UNIFORMS_PER_DROP * m)
-        u = np.asarray(u, dtype=np.float64).reshape(m, _UNIFORMS_PER_DROP)
+        u = rng.random(UNIFORMS_PER_DROP * m)
+        u = np.asarray(u, dtype=np.float64).reshape(m, UNIFORMS_PER_DROP)
         dist = u[:, 0].copy()
         dist *= 0.5
         ang = u[:, 1].copy()
@@ -244,6 +251,29 @@ def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
     return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
 
 
+def _check_run(trials: int, method: str, ratio: float) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if method not in ("triangle", "needle"):
+        raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
+    if method == "needle" and not 0 < ratio <= 1:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+
+
+def _tallies(agg: TrialAggregate | NeedleAggregate) -> tuple[int, ...]:
+    if isinstance(agg, TrialAggregate):
+        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
+    return (agg.hits,)
+
+
+def _aggregate(
+    trials: int, tallies: tuple[int, ...], method: str, ratio: float
+) -> TrialAggregate | NeedleAggregate:
+    if method == "triangle":
+        return TrialAggregate(trials, *tallies)
+    return NeedleAggregate(trials, tallies[0], ratio)
+
+
 def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
     """Integer tallies of one work unit ``(seed, stream_id, start_cast, n_casts, method, ratio)``.
 
@@ -255,14 +285,107 @@ def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
     seed, stream_id, start_cast, n_casts, method, ratio = unit
     config = RngConfig(seed, stream_id)
     if method == "triangle":
-        agg = run_triangle_trials(n_casts, config.stream(start_cast * UNIFORMS_PER_CAST))
-        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
-    return (run_needle_trials(n_casts, config.stream(start_cast * _UNIFORMS_PER_DROP), ratio).hits,)
+        return _tallies(run_triangle_trials(n_casts, config.stream(start_cast)))
+    return _tallies(run_needle_trials(n_casts, config.stream(start_cast, UNIFORMS_PER_DROP), ratio))
 
 
-def _ignore_sigint() -> None:
-    # Ctrl-C signals the whole process group; only the parent handles it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+# A pool worker's Ctrl-C state: an interrupt stops the unit that is running,
+# and a unit that starts after it stops at once, so an interrupted pool stops
+# however long its units are.  A worker waiting for work only notes the
+# interrupt, so that the parent alone reports it.
+_worker = {"busy": False, "interrupted": False}
+
+
+def _on_sigint_in_worker(signum, frame) -> None:
+    _worker["interrupted"] = True
+    if _worker["busy"]:
+        raise KeyboardInterrupt
+
+
+def _init_worker() -> None:
+    signal.signal(signal.SIGINT, _on_sigint_in_worker)
+
+
+def _tally_in_worker(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
+    """``tally_casts`` in a pool worker; after Ctrl-C the KeyboardInterrupt is the result."""
+    if _worker["interrupted"]:
+        raise KeyboardInterrupt
+    _worker["busy"] = True
+    try:
+        return tally_casts(unit)
+    finally:
+        _worker["busy"] = False
+
+
+class SplitRun:
+    """One run of ``trials`` casts on stream ``config``, split between this process and a pool.
+
+    The calling process draws the first ``head`` casts, about a ``1/workers``
+    share, straight from ``config.stream()`` with ``run_triangle_trials`` (or
+    ``run_needle_trials``) and hands the aggregate to ``join``.  Meanwhile a
+    pool of ``workers - 1`` processes tallies the rest of the stream in units
+    of ``_TASK_CASTS`` casts, larger where that would make more than
+    ``_WINDOW_UNITS`` units.  With one worker, or a run of at most one block,
+    ``head`` is the whole run and no pool starts::
+
+        with SplitRun(trials, config, workers=workers) as run:
+            agg = run.join(run_triangle_trials(run.head, config.stream()))
+
+    Leaving the block, on an error or Ctrl-C too, drops the queued units and
+    waits only for the running ones.
+    """
+
+    def __init__(
+        self,
+        trials: int,
+        config: RngConfig,
+        method: str = "triangle",
+        *,
+        ratio: float = 1.0,
+        workers: int = 1,
+    ) -> None:
+        _check_run(trials, method, ratio)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.trials, self.config, self.method, self.ratio = trials, config, method, ratio
+        # This process's share, rounded to whole blocks so the pool's units
+        # start on block boundaries.
+        share = _BLOCK * max(1, (2 * trials + workers * _BLOCK) // (2 * workers * _BLOCK))
+        self.head = trials if workers == 1 else min(trials, share)
+        self._workers = workers - 1
+        self._pool = None
+        self._futures = []
+
+    def __enter__(self) -> "SplitRun":
+        tail = self.trials - self.head
+        if tail:
+            size = max(_TASK_CASTS, _BLOCK * -(-tail // (_WINDOW_UNITS * _BLOCK)))
+            starts = range(self.head, self.trials, size)
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(self._workers, len(starts)), initializer=_init_worker
+            )
+            try:
+                seed, stream_id = self.config.seed, self.config.stream_id
+                for start in starts:
+                    unit = (seed, stream_id, start, min(size, self.trials - start), self.method, self.ratio)
+                    self._futures.append(self._pool.submit(_tally_in_worker, unit))
+            except BaseException:
+                self._pool.shutdown(cancel_futures=True)
+                raise
+        return self
+
+    def join(self, head: TrialAggregate | NeedleAggregate) -> TrialAggregate | NeedleAggregate:
+        """The whole run's aggregate: ``head`` (this process's share) plus the pool's units."""
+        if head.trials != self.head:
+            raise ValueError(f"the head has {self.head} casts, got an aggregate of {head.trials}")
+        tallies = _tallies(head)
+        for future in self._futures:
+            tallies = tuple(map(operator.add, tallies, future.result()))
+        return _aggregate(self.trials, tallies, self.method, self.ratio)
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def _run_streams(
@@ -275,12 +398,7 @@ def _run_streams(
     worker and more than one unit, units are mapped over a process pool; a
     run of one unit, or one worker, runs in this process.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if method not in ("triangle", "needle"):
-        raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
-    if method == "needle" and not 0 < ratio <= 1:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    _check_run(trials, method, ratio)
     units = (
         (seed, k, start, min(_BLOCK, trials - start), method, ratio)
         for k in streams
@@ -288,42 +406,25 @@ def _run_streams(
     )
     totals = {k: (0, 0, 0) if method == "triangle" else (0,) for k in streams}
     n_units = len(streams) * -(-trials // _BLOCK)
-    pool, tally = None, map
+    pool, tally = None, functools.partial(map, tally_casts)
     if workers > 1 and n_units > 1:
-        # Tasks of at most _TASK_CASTS casts, smaller where that would leave
-        # fewer than four tasks per worker.
-        per_task = min(min(n_units, _WINDOW_UNITS) // (4 * workers), _TASK_CASTS // min(_BLOCK, trials))
-        pool = ProcessPoolExecutor(max_workers=min(workers, n_units), initializer=_ignore_sigint)
-        tally = functools.partial(pool.map, chunksize=max(1, per_task))
+        # Four tasks per worker in each window; where runs span several
+        # units, a task holds at most _TASK_CASTS casts.
+        per_task = min(n_units, _WINDOW_UNITS) // (4 * workers)
+        if trials > _BLOCK:
+            per_task = min(per_task, _TASK_CASTS // _BLOCK)
+        pool = ProcessPoolExecutor(max_workers=min(workers, n_units), initializer=_init_worker)
+        tally = functools.partial(pool.map, _tally_in_worker, chunksize=max(1, per_task))
     try:
         while window := list(itertools.islice(units, _WINDOW_UNITS)):
-            for unit, tallies in zip(window, tally(tally_casts, window)):
+            for unit, tallies in zip(window, tally(window)):
                 totals[unit[1]] = tuple(map(operator.add, totals[unit[1]], tallies))
     finally:
         if pool is not None:
             # On an error or Ctrl-C, even one that comes while map is still
             # submitting, drop the queued tasks and wait only for the running ones.
             pool.shutdown(cancel_futures=True)
-    if method == "triangle":
-        return [TrialAggregate(trials, *totals[k]) for k in streams]
-    return [NeedleAggregate(trials, totals[k][0], ratio) for k in streams]
-
-
-def run_trials(
-    trials: int,
-    config: RngConfig,
-    method: str = "triangle",
-    *,
-    ratio: float = 1.0,
-    workers: int = 1,
-) -> TrialAggregate | NeedleAggregate:
-    """One run of ``trials`` casts on stream ``config.stream_id``, split over ``workers``.
-
-    Equal to ``run_triangle_trials`` (or ``run_needle_trials``) on
-    ``config.stream()``, at any worker count.
-    """
-    (agg,) = _run_streams(config.seed, (config.stream_id,), trials, method, ratio, workers)
-    return agg
+    return [_aggregate(trials, totals[k], method, ratio) for k in streams]
 
 
 def run_batch(

@@ -20,10 +20,12 @@ import numpy as np
 from .errors import UnsupportedConfigurationError
 from .geometry import THIRD_TURN, crossings_per_cast, make_triangle
 
-# Lattice points counted at once: the lattice is counted in slabs of whole
-# rotation rows holding at most this many points, which bounds the oracle's
-# memory whatever the resolution.
+# Lattice points counted at once: the lattice is counted in slabs of at most
+# this many points, which bounds the oracle's memory whatever the resolution.
 _SLAB_POINTS = 1 << 20
+# Largest lattice counted: 2^40 points take hours here, and held whole, as
+# numpy would, they need tens of TiB.
+_MAX_POINTS = 1 << 40
 
 
 def expected_crossings_quadrature(
@@ -39,30 +41,34 @@ def expected_crossings_quadrature(
     lattice {k * spacing / n}.  The x count depends only on (rotation,
     offset_x) and the y count only on (rotation, offset_y), so pairing the
     two offset lattices point-for-point reproduces the full 3D lattice
-    average at a fraction of the evaluations.  Each slab of rotation rows
-    (at most ``_SLAB_POINTS`` lattice points) is counted in one
-    ``crossings_per_cast`` call; a row's crossing total is an integer, so the
-    slab size never changes the result.  An offset lattice larger than one
-    slab raises MemoryError.
+    average at a fraction of the evaluations.  The lattice is counted in
+    slabs of at most ``_SLAB_POINTS`` points: whole rotation rows where a row
+    fits in a slab, otherwise pieces of one row.  A row's crossing total is an
+    integer summed over its pieces, so the slab size never changes the
+    result.  A lattice of more than ``_MAX_POINTS`` points raises MemoryError.
     """
     if grid_points_theta < 8 or grid_points_offset < 8:
         raise ValueError("lattice needs at least 8 points per dimension")
-    if grid_points_offset > _SLAB_POINTS:
+    points = grid_points_theta * grid_points_offset
+    if points > _MAX_POINTS:
         raise MemoryError(
-            f"an offset lattice of {grid_points_offset} points exceeds the oracle's "
-            f"{_SLAB_POINTS}-point slab"
+            f"a lattice of {points} points ({points * 8 / 2**40:.0f} TiB per float array "
+            f"held whole) is more than the {_MAX_POINTS} points the oracle counts"
         )
     d_theta = THIRD_TURN / grid_points_theta
-    offsets = np.arange(grid_points_offset) / grid_points_offset
-    rows = _SLAB_POINTS // grid_points_offset
+    columns = min(grid_points_offset, _SLAB_POINTS)
+    rows = _SLAB_POINTS // columns
     # The float total depends on summation order: add per-theta means left to right.
     total = 0.0
     for first in range(0, grid_points_theta, rows):
-        row = np.arange(first, min(first + rows, grid_points_theta))
-        theta = theta_origin + (row + 0.5) * d_theta
+        theta = theta_origin + (np.arange(first, min(first + rows, grid_points_theta)) + 0.5) * d_theta
         vertices = make_triangle((0.0, 0.0), 1.0, theta[:, np.newaxis])
-        count_x, count_y = crossings_per_cast(vertices, offsets, offsets)
-        for crossings in (count_x + count_y).sum(axis=1).tolist():
+        row_crossings = np.zeros(theta.size, dtype=np.int64)
+        for start in range(0, grid_points_offset, columns):
+            offsets = np.arange(start, min(start + columns, grid_points_offset)) / grid_points_offset
+            count_x, count_y = crossings_per_cast(vertices, offsets, offsets)
+            row_crossings += (count_x + count_y).sum(axis=1)
+        for crossings in row_crossings.tolist():
             total += crossings / grid_points_offset
     return total / grid_points_theta
 

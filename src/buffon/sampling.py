@@ -4,14 +4,16 @@ Streams are counter-based: stream k under seed s is a Philox generator
 keyed with ``(s, k)``, so any subset of runs can be drawn independently,
 in any order and on any number of workers, with identical results.
 
-A stream can also start part-way.  Philox makes four 64-bit words per
-counter step and each uniform takes one word, so ``stream(start)`` advances
-the counter by ``start / 4`` and needs ``start % 4 == 0``.  A triangle cast
-takes ``UNIFORMS_PER_CAST = 3`` uniforms, so cast ``c`` starts at counter
-``3c/4``; a needle drop takes two, so drop ``d`` starts at ``d/2``.  Work
-units whose first cast is a multiple of 4 (the estimators cut runs at
-multiples of their block size) therefore draw exactly the casts of one
-straight pass over the stream.
+A stream can also start part-way, at any draw whose first uniform falls on
+a Philox counter boundary.  Philox makes four 64-bit words per counter step
+and each uniform takes one word.  A triangle cast takes
+``UNIFORMS_PER_CAST = 3`` uniforms, so cast ``c`` starts at counter
+``3c/4``; a needle drop takes ``UNIFORMS_PER_DROP = 2``, so drop ``d``
+starts at counter ``d/2``.  ``stream(first_draw, uniforms_per_draw)``
+advances the counter there, and needs ``first_draw * uniforms_per_draw``
+to be a multiple of 4.  Chunks of a run that start at a multiple of 4
+draws (the estimators cut runs at multiples of their block size) therefore
+draw exactly the casts of one straight pass over the stream.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .geometry import TWO_PI
 _UINT64_MAX = (1 << 64) - 1
 # Uniforms per triangle cast: (rotation, offset_x, offset_y).
 UNIFORMS_PER_CAST = 3
+# Uniforms per needle drop: (distance, angle).
+UNIFORMS_PER_DROP = 2
 # Uniforms per Philox counter step.
 _UNIFORMS_PER_STEP = 4
 
@@ -43,13 +47,19 @@ class RngConfig:
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
-    def stream(self, start: int = 0) -> np.random.Generator:
-        """A fresh generator positioned at uniform ``start`` of this stream.
+    def stream(self, first_draw: int = 0, uniforms_per_draw: int = UNIFORMS_PER_CAST) -> np.random.Generator:
+        """A fresh generator positioned at draw ``first_draw`` of this stream.
 
-        ``start`` must be a multiple of 4, a Philox counter boundary.
+        Each draw takes ``uniforms_per_draw`` uniforms, and the draw must start
+        on a Philox counter boundary (``first_draw * uniforms_per_draw`` a
+        multiple of 4).
         """
-        if start < 0 or start % _UNIFORMS_PER_STEP:
-            raise ValueError(f"stream start must be a nonnegative multiple of 4, got {start}")
+        start = first_draw * uniforms_per_draw
+        if first_draw < 0 or start % _UNIFORMS_PER_STEP:
+            raise ValueError(
+                f"draw {first_draw} of {uniforms_per_draw} uniforms does not start on "
+                f"a nonnegative multiple of 4 uniforms"
+            )
         bit_generator = np.random.Philox(key=[self.seed, self.stream_id])
         bit_generator.advance(start // _UNIFORMS_PER_STEP)
         return np.random.Generator(bit_generator)

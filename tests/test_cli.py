@@ -100,8 +100,10 @@ class TestEstimateCommand:
         assert "--workers must be >= 1" in captured.err
 
     @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
-    def test_worker_count_keeps_bytes_identical(self, tmp_path, capsys, method):
-        # Four block-sized units, the last of 5 casts: an uneven tail and more units than workers.
+    def test_worker_count_keeps_bytes_identical(self, monkeypatch, tmp_path, capsys, method):
+        # Pool units of one block: this process draws the first block, and the
+        # pool two more and a tail of 5 casts, so there are more units than workers.
+        monkeypatch.setattr(estimators, "_TASK_CASTS", estimators._BLOCK)
         outputs = {}
         for workers in ("1", "2", "3"):
             report = tmp_path / f"w{workers}.json"
@@ -279,7 +281,8 @@ class TestWorkers:
     @staticmethod
     def _interrupt(argv, delay):
         """Run ``argv`` with ``src`` on the path, and send SIGINT to its process
-        group, as a terminal's Ctrl-C does, ``delay`` s after its seed line."""
+        group, as a terminal's Ctrl-C does, ``delay`` s after its seed line.  It
+        must stop within 10 s, well under one of the longest units."""
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
         proc = subprocess.Popen(
@@ -290,32 +293,33 @@ class TestWorkers:
             assert proc.stdout.readline() == "seed = 1\n"
             time.sleep(delay)
             os.killpg(proc.pid, signal.SIGINT)
-            out, err = proc.communicate(timeout=30)
+            out, err = proc.communicate(timeout=10)
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         return proc.returncode, out, err
 
-    @pytest.mark.parametrize("trials", ["1000000000", "10000000000"])
+    @pytest.mark.parametrize("trials", ["1000000000", "10000000000", "1000000000000"])
     def test_ctrl_c_stops_a_long_run_without_a_traceback(self, trials):
-        # Minutes of work on two workers, so the queued units must be dropped.  Half
-        # a second in, 1e9 casts are all submitted to the pool, and 1e10 casts
-        # (152588 units) are still being submitted.
+        # Minutes to days of work on two workers, so the queued units must be
+        # dropped and the running one stopped.  Half a second in, this process is
+        # drawing its half of the casts and the pool holds the other half: 1908
+        # units at 1e9 casts, 4016 larger ones at 1e10 and 4096 of 1.2e8 casts
+        # (a minute each) at 1e12.
         argv = ["-m", "buffon.cli", "estimate", "--trials", trials, "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
     def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
-        # Unit 0 keeps one worker busy; the other has finished its unit and waits
-        # for work when the signal comes.
+        # This process is busy with its share of the casts; the one pool worker
+        # has finished its unit and waits for work when the signal comes.
         script = """
 import sys, time
 import buffon.cli as cli, buffon.estimators as estimators
-def unit(u):
-    if u[2] == 0:
-        time.sleep(2)
-    return (0, 1, 1)
-estimators.tally_casts = unit
+def head(n, rng):
+    time.sleep(2)
+estimators.tally_casts = lambda unit: (0, 1, 1)
+cli.run_triangle_trials = head
 sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
 """
         assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")

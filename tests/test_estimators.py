@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +13,9 @@ from buffon.estimators import (
     TrialAggregate,
     estimate_pi_needle,
     estimate_pi_triangle,
+    SplitRun,
     run_batch,
     run_needle_trials,
-    run_trials,
     run_triangle_trials,
     summarize,
     tally_casts,
@@ -216,6 +215,10 @@ def _straight_tallies(n, config, method, ratio):
     return (run_needle_trials(n, config.stream(), ratio).hits,)
 
 
+def _count_unit(unit):
+    return 1, unit[3], 0
+
+
 class TestChunkedRuns:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -240,21 +243,39 @@ class TestChunkedRuns:
         with pytest.raises(ValueError, match="multiple of 4"):
             tally_casts((1, 0, start, 10, method, 0.5))
 
+    @staticmethod
+    def _split_run(trials, config, method, ratio, workers):
+        with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
+            if method == "triangle":
+                return run.join(run_triangle_trials(run.head, config.stream()))
+            return run.join(run_needle_trials(run.head, config.stream(), ratio))
+
     @pytest.mark.parametrize("window", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
-    def test_run_trials_equals_a_straight_run(self, monkeypatch, workers, method, window):
-        # Blocks of 256 casts make 1029 casts five units, four full and a tail of 5;
-        # windows of 2 units map them in three rounds.
+    def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, window):
+        # Blocks and pool units of 256 casts: at 2 workers this process draws 512
+        # of the 1029 casts and the pool three units (256, 256 and a tail of 5);
+        # at 3 workers it draws 256 and the pool four.  A window of 2 units
+        # doubles the unit size instead.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
+        monkeypatch.setattr(estimators, "_TASK_CASTS", 256)
         monkeypatch.setattr(estimators, "_WINDOW_UNITS", window)
         config = RngConfig(19, 4)
-        agg = run_trials(1029, config, method, ratio=0.5, workers=workers)
+        agg = self._split_run(1029, config, method, 0.5, workers)
         expected = _straight_tallies(1029, config, method, 0.5)
         if method == "triangle":
             assert agg == TrialAggregate(1029, *expected)
         else:
             assert agg == NeedleAggregate(1029, expected[0], 0.5)
+
+    @pytest.mark.parametrize("trials, workers, head", [
+        (1000, 4, 1000), (65536, 2, 65536), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
+        (6_000_000, 3, 31 * 65536), (6_000_000, 1, 6_000_000),
+    ])
+    def test_head_is_a_whole_block_share(self, trials, workers, head):
+        # A run of at most one block, or one worker, stays in this process.
+        assert SplitRun(trials, RngConfig(1, 0), workers=workers).head == head
 
     def test_batch_runs_longer_than_a_block(self, monkeypatch):
         # Three runs of four units, mapped in windows of 5, 5 and 2 units that span runs.
@@ -265,31 +286,28 @@ class TestChunkedRuns:
             agg = run_triangle_trials(1000, RngConfig(20, k).stream())
             assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
 
-    def test_units_are_built_one_window_at_a_time(self, monkeypatch):
-        # 1e10 casts are 152588 units, tens of MB if they were all built up front.
-        class Stop(Exception):
-            pass
+    def test_a_long_split_run_has_at_most_a_window_of_units(self, monkeypatch):
+        # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in unit
+        # tallies (1, its casts, 0), so the join counts units and casts.
+        monkeypatch.setattr(estimators, "tally_casts", _count_unit)
+        with SplitRun(10**10, RngConfig(1, 0), workers=2) as run:
+            agg = run.join(TrialAggregate(run.head, 0, 0, 0))
+        assert agg.trials == 10**10
+        assert agg.count_y_total == 10**10 - run.head
+        assert 2000 < agg.count_x_total <= estimators._WINDOW_UNITS
 
-        def stop(unit):
-            raise Stop
-
-        monkeypatch.setattr(estimators, "tally_casts", stop)
-        tracemalloc.start()
-        try:
-            with pytest.raises(Stop):
-                run_trials(10**10, RngConfig(1, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
-
-    def test_run_trials_validation(self):
-        with pytest.raises(ValueError):
-            run_trials(0, RngConfig(1, 0))
-        with pytest.raises(ValueError):
-            run_trials(10, RngConfig(1, 0), "coin")
-        with pytest.raises(ValueError):
-            run_trials(10, RngConfig(1, 0), "needle", ratio=1.5)
+    def test_split_run_validation(self):
+        for args, kwargs in [
+            ((0, RngConfig(1, 0)), {}),
+            ((10, RngConfig(1, 0), "coin"), {}),
+            ((10, RngConfig(1, 0), "needle"), {"ratio": 1.5}),
+            ((10, RngConfig(1, 0)), {"workers": 0}),
+        ]:
+            with pytest.raises(ValueError):
+                SplitRun(*args, **kwargs)
+        with SplitRun(10, RngConfig(1, 0)) as run:
+            with pytest.raises(ValueError, match="head has 10 casts"):
+                run.join(run_triangle_trials(9, RngConfig(1, 0).stream()))
 
 
 class TestSummarize:

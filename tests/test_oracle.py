@@ -17,16 +17,18 @@ TARGET = 12.0 / math.pi
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("slab", [200, 1400, 5000])
+    # Slabs of whole rows (200 points and more) and of pieces of one row (7, 64, 199).
+    @pytest.mark.parametrize("slab", [7, 64, 199, 200, 1400, 5000])
     def test_slab_size_does_not_change_the_value(self, monkeypatch, slab):
         whole = expected_crossings_quadrature(360, 200, theta_origin=0.1)
         monkeypatch.setattr(oracle, "_SLAB_POINTS", slab)
         assert expected_crossings_quadrature(360, 200, theta_origin=0.1) == whole
 
-    def test_offset_lattice_larger_than_a_slab_is_refused(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_SLAB_POINTS", 100)
-        with pytest.raises(MemoryError, match="slab"):
-            expected_crossings_quadrature(8, 101)
+    def test_lattice_beyond_the_point_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_POINTS", 8 * 100)
+        assert expected_crossings_quadrature(8, 100) > 0
+        with pytest.raises(MemoryError, match="801 points"):
+            expected_crossings_quadrature(9, 89)
 
     def test_default_resolution_hits_target(self):
         value = expected_crossings_quadrature(360, 200)

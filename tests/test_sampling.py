@@ -119,14 +119,23 @@ def test_config_rejects_out_of_range_values():
     RngConfig((1 << 64) - 1, (1 << 64) - 1)  # extremes are valid
 
 
-@pytest.mark.parametrize("start", [4, 12, 65536, 100000, 131072])
-def test_stream_start_resumes_a_straight_draw(start):
+@pytest.mark.parametrize("cast", [4, 12, 65536, 100000, 131072])
+def test_stream_resumes_a_straight_draw_at_a_cast(cast):
+    # Cast c starts at uniform 3c, on a counter boundary when c % 4 == 0.
     config = RngConfig(42, 3)
-    straight = config.stream().random(start + 50)[start:]
-    assert np.array_equal(config.stream(start).random(50), straight)
+    straight = config.stream().random(3 * cast + 50)[3 * cast:]
+    assert np.array_equal(config.stream(cast).random(50), straight)
 
 
-@pytest.mark.parametrize("start", [-4, 1, 2, 3, 6])
-def test_stream_start_off_a_counter_boundary(start):
+@pytest.mark.parametrize("drop", [2, 6, 65536, 100002])
+def test_stream_resumes_a_straight_draw_at_a_drop(drop):
+    # Needle drop d starts at uniform 2d, on a counter boundary when d % 2 == 0.
+    config = RngConfig(42, 3)
+    straight = config.stream().random(2 * drop + 50)[2 * drop:]
+    assert np.array_equal(config.stream(drop, 2).random(50), straight)
+
+
+@pytest.mark.parametrize("draw, uniforms", [(-4, 3), (1, 3), (2, 3), (3, 3), (6, 3), (1, 2), (-2, 2)])
+def test_stream_start_off_a_counter_boundary(draw, uniforms):
     with pytest.raises(ValueError, match="multiple of 4"):
-        RngConfig(42, 3).stream(start)
+        RngConfig(42, 3).stream(draw, uniforms)
