@@ -126,6 +126,8 @@ def cmd_batch(args) -> int:
         raise ValueError("--ratio only applies to --method needle")
     if args.runs < 1 or args.trials < 1:
         raise ValueError("--runs and --trials must be >= 1")
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
     ratio = 1.0 if args.ratio is None else args.ratio

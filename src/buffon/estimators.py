@@ -1,11 +1,13 @@
 """Trial loops, one work unit split over a process pool, and cross-run statistics.
 
 The triangle trial loop composes, per block of casts: draw (rotation,
-offset_x, offset_y) with ``sampling.draw_casts``, build the triangles at the
-origin with ``geometry.make_triangle`` and count grid-line crossings with
-``geometry.crossings_per_cast``.  All three work elementwise, so a block of
-casts and a single cast go through the same code, and tallies do not depend
-on the block size.
+offset_x, offset_y) with ``sampling.draw_casts`` and count grid-line
+crossings with ``geometry.filtered_crossings``.  That builds the triangles at
+the origin in float32 and counts the few casts within ``FILTER_GUARD`` of a
+line again through the float64 path (``geometry.make_triangle`` +
+``geometry.crossings_per_cast``), so every count equals that path's.  The
+needle loop decides its hits in float32 the same way, with the same guard.
+Counts are elementwise, so tallies do not depend on the block size.
 
 Runs are split into work units.  ``tally_casts`` turns a unit, casts
 ``start .. start + n - 1`` of one stream with ``start`` a multiple of
@@ -40,16 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, UnsupportedConfigurationError
-from .geometry import crossings_per_cast, make_triangle
+from .geometry import FILTER_GUARD, filtered_crossings
 from .sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts
 
-# Casts per vectorized block.  With the one-cos/sin-pair triangle, 6e6 casts
-# on a 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.86 s
-# (0.79-0.96) at 1 << 14, 0.79 s (0.75-0.94) at 1 << 15, 0.81 s (0.77-0.93)
-# at 1 << 16 and 0.88 s (0.83-0.91) at 1 << 17, twelve runs each: no size
-# wins beyond host noise.  Peak RSS grows with the block (38, 41, 45 and
-# 53 MB in process), and 1 << 18 measured slower than 1 << 16 (1.60 s
-# against 1.21 s with six trig calls per cast).
+# Casts per vectorized block.  With the float32 filter, 6e6 casts on a
+# 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.387 s
+# (0.369-0.393) at 1 << 14, 0.353 s (0.345-0.368) at 1 << 15, 0.359 s
+# (0.323-0.375) at 1 << 16 and 0.393 s (0.372-0.407) at 1 << 17, fourteen
+# fresh processes each: no size wins beyond host noise.  Peak RSS grows with
+# the block (37, 38, 40 and 44 MB in process).
 _BLOCK = 1 << 16
 # Casts per pool task: the pool's share of a split run goes out in units of
 # this many casts, and batch runs longer than a block in groups of at most
@@ -157,10 +158,18 @@ class BatchResult:
 def _triangle_block(rng, m: int, spacing: float) -> tuple[int, int, int]:
     """Tally m casts; returns (count_x, count_y, sum of squared totals)."""
     rotation, offset_x, offset_y = draw_casts(rng, m, spacing)
-    v = make_triangle((0.0, 0.0), spacing, rotation)  # side == spacing in this model
-    count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
+    # Triangles of side == spacing, in this model.
+    count_x, count_y, _ = filtered_crossings(rotation, offset_x, offset_y, spacing)
+    # The counts are small integers in float32, so their squares are exact and
+    # float64 sums stay exact up to 2**53.  (Not np.dot: a float dot goes to
+    # BLAS, whose threads spin against the pool's other processes.)
     total = count_x + count_y
-    return int(count_x.sum()), int(count_y.sum()), int(np.dot(total, total))
+    np.square(total, out=total)
+    return (
+        int(count_x.sum(dtype=np.float64)),
+        int(count_y.sum(dtype=np.float64)),
+        int(total.sum(dtype=np.float64)),
+    )
 
 
 def run_triangle_trials(
@@ -218,7 +227,8 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
 
     Per trial, in order: distance from needle center to the nearest line,
     uniform on [0, 1/2); needle angle against the lines, uniform on [0, pi).
-    A drop hits iff ``(ratio/2) * sin(angle) >= distance``.
+    A drop hits iff ``(ratio/2) * sin(angle) >= distance`` in float64; a
+    float32 filter decides all but the drops near that threshold.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
@@ -231,11 +241,19 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
         m = min(_BLOCK, remaining)
         u = rng.random(UNIFORMS_PER_DROP * m)
         u = np.asarray(u, dtype=np.float64).reshape(m, UNIFORMS_PER_DROP)
-        dist = u[:, 0].copy()
-        dist *= 0.5
-        ang = u[:, 1].copy()
-        ang *= math.pi
-        hits += int((half_len * np.sin(ang) >= dist).sum())
+        # Decide ``half_len * sin(angle) - distance`` in float32: it is off by
+        # under 3e-7 (rounding the angle and the distance, a float32 sin and
+        # two operations), so only a gap within FILTER_GUARD can have the
+        # wrong sign, and those drops are decided again in float64.
+        gap = np.multiply(u[:, 1], math.pi, out=np.empty(m, np.float32), casting="same_kind")
+        np.sin(gap, out=gap)
+        gap *= half_len
+        gap -= np.multiply(u[:, 0], 0.5, out=np.empty(m, np.float32), casting="same_kind")
+        hit = gap >= 0
+        near = np.flatnonzero(np.abs(gap) < FILTER_GUARD)
+        dist, ang = 0.5 * u[near, 0], math.pi * u[near, 1]
+        hit[near] = half_len * np.sin(ang) >= dist
+        hits += int(np.count_nonzero(hit))
         remaining -= m
     return NeedleAggregate(n, hits, ratio)
 

@@ -13,6 +13,19 @@ hi`` over the vertex coordinates, and then crosses exactly two sides (a
 side whose endpoint coordinates sort to ``(a, b)`` crosses ``p`` iff ``a <
 p <= b``).  The rule makes vertex-on-line ties deterministic, so degenerate
 casts are counted, never resampled.
+
+``filtered_crossings`` gives the same counts for blocks of casts at a
+fraction of the cost, as a floating-point filter in the way of Shewchuk's
+adaptive predicates.  It builds the triangles in float32, in units of the
+spacing, and counts by the same floor difference.  A cast where ``hi -
+offset`` or ``lo - offset`` lies within ``FILTER_GUARD`` (2**-12) of an
+integer, in either family, is *near* a line; about 0.2% of random casts
+are, and only those are counted again by the float64 path
+(``make_triangle`` + ``crossings_per_cast``).  The other counts are exact:
+rounding is monotone, so ``floor(hi - offset)`` is the largest floor over
+the vertices, and every float32 quantity lies within 1e-6 of its float64
+value (the error budget is next to ``FILTER_GUARD``), so a quantity more
+than the guard away from every integer has the same floor in both.
 """
 
 from __future__ import annotations
@@ -26,6 +39,20 @@ SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
+
+# Guard of the float32 filter in ``filtered_crossings``, in units of the
+# spacing.  A float32 ``hi - offset`` or ``lo - offset`` differs from its
+# float64 value by less than the sum of: rounding the rotation in [0, 2*pi)
+# to float32 (2**-22 rad, times the circumradius 1/sqrt(3): 1.4e-7);
+# float32 cos/sin, within about 2 ulps (2**-23 each, times 1/sqrt(3) and
+# at most 1/2 + sqrt(3)/2 on the other vertices: 9.4e-8); about five float32
+# operations on values below 2, half an ulp (2**-24) each (3.0e-7); and
+# rounding the offset to float32 (3.0e-8).  The float64 path adds ~1e-15.
+# Together that is under 6e-7, against a guard of 2.4e-4; the fractional
+# part that the filter compares with the guard is itself off by at most
+# 2**-23.  ``tests/test_geometry.py`` measures the error below
+# FILTER_GUARD / 64 on a dense rotation grid.
+FILTER_GUARD = 2.0**-12
 
 Point = tuple[float, float]
 Vertices = tuple[Point, Point, Point]
@@ -132,3 +159,72 @@ def _axis_crossings(a, b, c, offset, spacing):
     hi = np.maximum(np.maximum(a, b), c)
     lines = np.floor((hi - offset) / spacing) - np.floor((lo - offset) / spacing)
     return 2 * lines.astype(np.int64)
+
+
+def filtered_crossings(rotation: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray, spacing: float = 1.0):
+    """Crossings of a block of casts, ``(count_x, count_y, near)``, through a float32 filter.
+
+    The casts are triangles of side ``spacing`` centered at the origin, at
+    angles ``rotation`` in [0, 2*pi), on grids with offsets in [0,
+    spacing), as ``sampling.draw_casts`` draws them.  ``count_x`` and
+    ``count_y`` equal, cast by cast, ``crossings_per_cast(make_triangle((0,
+    0), spacing, rotation), offset_x, offset_y, spacing)`` (as float32
+    arrays); ``near`` marks the casts within ``FILTER_GUARD`` of a line,
+    whose counts come from that float64 path.
+    """
+    extents = float32_extents(rotation, offset_x, offset_y, spacing)
+    # |fraction - 1/2| is 1/2 less the distance to the nearest integer, so a
+    # cast is near a line iff its largest such value exceeds 1/2 - FILTER_GUARD.
+    counts, centred = [], None
+    for hi, lo in (extents[:2], extents[2:]):
+        count = np.floor(hi)
+        floor_lo = np.floor(lo)
+        for value, floor in ((hi, count), (lo, floor_lo)):
+            value -= floor
+            value -= 0.5
+            np.abs(value, out=value)
+            centred = value if centred is None else np.maximum(centred, value, out=centred)
+        count -= floor_lo
+        count *= 2
+        counts.append(count)
+    near = centred > 0.5 - FILTER_GUARD
+    idx = np.flatnonzero(near)
+    v = make_triangle((0.0, 0.0), spacing, rotation[idx])
+    counts[0][idx], counts[1][idx] = crossings_per_cast(v, offset_x[idx], offset_y[idx], spacing)
+    return counts[0], counts[1], near
+
+
+def float32_extents(rotation: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray, spacing: float = 1.0):
+    """The filter's float32 ``(hi_x - offset_x, lo_x - offset_x, hi_y - offset_y, lo_y - offset_y)``.
+
+    In units of ``spacing``, for the casts of ``filtered_crossings``.  The
+    vertices are built as ``make_triangle`` builds them, in float32, and
+    ``hi``/``lo`` are their largest and smallest coordinates.
+    """
+    # Python float constants act in float32 on float32 arrays.
+    c = rotation.astype(np.float32)
+    s = np.sin(c)
+    np.cos(c, out=c)
+    c *= 1.0 / SQRT3
+    s *= 1.0 / SQRT3
+    return (*_float32_axis(c, s, offset_x, spacing), *_float32_axis(s, c, offset_y, spacing))
+
+
+def _float32_axis(a, b, offset, spacing):
+    """Extremes of the coordinates ``a``, ``-a/2 - h*b`` and ``-a/2 + h*b``, less the offset.
+
+    The last two are ``-a/2 -/+ |h*b|`` in some order, so their larger is
+    ``|h*b| - a/2`` and their smaller ``-(|h*b| + a/2)``, rounded alike.
+    """
+    half_a = a * 0.5
+    hb = b * HALF_SQRT3
+    np.abs(hb, out=hb)
+    hi = np.subtract(hb, half_a)
+    np.maximum(hi, a, out=hi)
+    lo = np.add(hb, half_a, out=hb)
+    np.negative(lo, out=lo)
+    np.minimum(lo, a, out=lo)
+    off = np.divide(offset, spacing, out=half_a, casting="same_kind")
+    hi -= off
+    lo -= off
+    return hi, lo

@@ -1,8 +1,9 @@
 """Seeded, splittable random streams for casts.
 
 Streams are counter-based: stream k under seed s is a Philox generator
-keyed with ``(s, k)``, so any subset of runs can be drawn independently,
-in any order and on any number of workers, with identical results.
+keyed with the uint64 pair ``(s, k)``, so any subset of runs can be drawn
+independently, in any order and on any number of workers, with identical
+results.
 
 A stream can also start part-way, at any draw whose first uniform falls on
 a Philox counter boundary.  Philox makes four 64-bit words per counter step
@@ -60,7 +61,9 @@ class RngConfig:
                 f"draw {first_draw} of {uniforms_per_draw} uniforms does not start on "
                 f"a nonnegative multiple of 4 uniforms"
             )
-        bit_generator = np.random.Philox(key=[self.seed, self.stream_id])
+        # A uint64 array: a list with one value at or above 2**63 and one below
+        # would become float64 and round the key.
+        bit_generator = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         bit_generator.advance(start // _UNIFORMS_PER_STEP)
         return np.random.Generator(bit_generator)
 

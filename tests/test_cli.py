@@ -161,6 +161,13 @@ class TestBatchCommand:
     def test_zero_runs_is_usage_error(self):
         assert main(["batch", "--runs", "0", "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_nonpositive_bins_is_usage_error(self, capsys, bins):
+        assert main(["batch", "--runs", "2", "--trials", "100", "--seed", "1", "--bins", bins]) == 1
+        captured = capsys.readouterr()
+        assert "--bins must be >= 1" in captured.err
+        assert "seed" not in captured.out
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_is_usage_error(self, capsys, workers):
         assert main(["batch", "--runs", "2", "--trials", "100", "--seed", "1", "--workers", workers]) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buffon.estimators as estimators
@@ -20,8 +20,8 @@ from buffon.estimators import (
     summarize,
     tally_casts,
 )
-from buffon.geometry import make_triangle
-from buffon.sampling import RngConfig, sample_cast
+from buffon.geometry import FILTER_GUARD, crossings_per_cast, make_triangle
+from buffon.sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream, brute_force_tally
 
@@ -55,6 +55,19 @@ class TestRunTriangleTrials:
         agg = run_triangle_trials(n, RngConfig(60, n).stream())
         expected = _scalar_triangle_totals(n, RngConfig(60, n).stream())
         assert (agg.count_x_total, agg.count_y_total, agg.total_sq_sum) == expected
+
+    @pytest.mark.parametrize("spacing", [1.0, 3.7])
+    def test_tallies_equal_the_float64_path(self, spacing):
+        # Four blocks and a tail through the float32 filter, against one
+        # float64 pass over the same casts.
+        for seed in (0, 1, 42):
+            agg = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing, spacing)
+            rotation, offset_x, offset_y = draw_casts(RngConfig(seed, 0).stream(), 300_000, spacing)
+            v = make_triangle((0.0, 0.0), spacing, rotation)
+            count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
+            total = count_x + count_y
+            expected = (int(count_x.sum()), int(count_y.sum()), int(np.dot(total, total)))
+            assert (agg.count_x_total, agg.count_y_total, agg.total_sq_sum) == expected
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         whole = run_triangle_trials(600, RngConfig(61, 0).stream())
@@ -126,6 +139,26 @@ class TestRunNeedleTrials:
         # angle 0 makes sin(angle) = 0, so only distance 0 can hit
         assert run_needle_trials(1, StubStream([0.3, 0.0]), 1.0).hits == 0
         assert run_needle_trials(1, StubStream([0.0, 0.0]), 1.0).hits == 1
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
+    def test_hits_equal_the_float64_path(self, ratio):
+        for seed in (1, 2):
+            agg = run_needle_trials(1_000_000, RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP), ratio)
+            u = RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP).random(2_000_000).reshape(-1, 2)
+            assert agg.hits == int(np.count_nonzero(ratio / 2 * np.sin(math.pi * u[:, 1]) >= 0.5 * u[:, 0]))
+
+    @given(
+        angle=st.floats(0.0, 1.0, exclude_max=True),
+        ratio=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+        shift=st.sampled_from([0.0, 1e-12, -1e-12, 1e-7, -1e-7, 2 * FILTER_GUARD, -2 * FILTER_GUARD]),
+    )
+    def test_drops_at_the_hit_threshold(self, angle, ratio, shift):
+        # The distance sits ``shift`` from the needle's reach, and the drop
+        # is decided as the float64 comparison decides it.
+        reach = float(ratio / 2 * np.sin(np.array([math.pi * angle]))[0])
+        distance = 2.0 * (reach + shift)
+        assume(0.0 <= distance < 1.0)
+        assert run_needle_trials(1, StubStream([distance, angle]), ratio).hits == int(reach >= 0.5 * distance)
 
     @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
     def test_rejects_bad_ratio(self, ratio):

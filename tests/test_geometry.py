@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buffon.geometry import THIRD_TURN, GridSpec, TriangleSpec, crossings_per_cast, make_triangle
+from buffon.geometry import (
+    FILTER_GUARD,
+    THIRD_TURN,
+    GridSpec,
+    TriangleSpec,
+    crossings_per_cast,
+    filtered_crossings,
+    float32_extents,
+    make_triangle,
+)
 from buffon.sampling import RngConfig, draw_casts
 
 from conftest import brute_force_tally, cast_vertices, reference_vertices, segment_crosses_line
@@ -286,3 +295,69 @@ class TestCrossingsAtTies:
         count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
         assert (count_x, count_y) == brute_force_tally(v, offset_x, offset_y)
         assert count_x in (0, 2) and count_y in (0, 2)
+
+
+def _float64_counts(rotation, offset_x, offset_y, spacing):
+    """The exact path the filter must reproduce."""
+    return crossings_per_cast(make_triangle((0.0, 0.0), spacing, rotation), offset_x, offset_y, spacing)
+
+
+class TestFilteredCrossings:
+    """The float32 filter against the float64 path it stands in for."""
+
+    @pytest.mark.parametrize("spacing", [1.0, 3.7])
+    def test_equals_the_float64_path_cast_by_cast(self, spacing):
+        # 5 x 2**20 casts per spacing, drawn a block of 2**18 at a time.
+        for seed in (0, 1, 2, 3, 7):
+            rng = RngConfig(seed, 0).stream()
+            for _ in range(4):
+                rotation, offset_x, offset_y = draw_casts(rng, 1 << 18, spacing)
+                count_x, count_y, _ = filtered_crossings(rotation, offset_x, offset_y, spacing)
+                exact_x, exact_y = _float64_counts(rotation, offset_x, offset_y, spacing)
+                assert np.array_equal(count_x, exact_x) and np.array_equal(count_y, exact_y)
+
+    def test_few_casts_fall_back(self):
+        # Four quantities per cast, each near a line with probability
+        # 2 * FILTER_GUARD: about 0.2% of casts.
+        rotation, offset_x, offset_y = _random_casts(59, 1 << 20)
+        near = filtered_crossings(rotation, offset_x, offset_y)[2]
+        assert 0.001 < near.mean() < 0.01
+
+    def test_float32_error_is_far_inside_the_guard(self):
+        # 10 * 2**20 rotations evenly spaced over [0, 2*pi), each with a random
+        # offset pair: the float32 hi/lo less the offset against float64.
+        n, chunk, worst = 10 << 20, 1 << 20, 0.0
+        offsets = RngConfig(60, 0).stream()
+        for start in range(0, n, chunk):
+            rotation = np.arange(start, start + chunk) * (2.0 * math.pi / n)
+            offset_x, offset_y = offsets.random(chunk), offsets.random(chunk)
+            (x0, y0), (x1, y1), (x2, y2) = make_triangle((0.0, 0.0), 1.0, rotation)
+            exact = []
+            for coords, offset in (((x0, x1, x2), offset_x), ((y0, y1, y2), offset_y)):
+                exact += [np.maximum.reduce(coords) - offset, np.minimum.reduce(coords) - offset]
+            for got, want in zip(float32_extents(rotation, offset_x, offset_y), exact):
+                worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst < FILTER_GUARD / 64, f"float32 error {worst:.3g} against a guard of {FILTER_GUARD:.3g}"
+
+    @settings(deadline=None)
+    @given(
+        rotation=st.sampled_from(TIE_ROTATIONS),
+        vertex=st.integers(0, 2),
+        axis=st.integers(0, 1),
+        shift=st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 2 * FILTER_GUARD, -2 * FILTER_GUARD]),
+        other_offset=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+        spacing=st.sampled_from([1.0, 3.7]),
+    )
+    def test_near_a_vertex_on_a_line(self, rotation, vertex, axis, shift, other_offset, spacing):
+        # The line through the offset passes ``shift`` spacings from a vertex;
+        # within the guard of an extreme vertex the cast must fall back.
+        v = make_triangle((0.0, 0.0), spacing, rotation)
+        offsets = [other_offset * spacing, other_offset * spacing]
+        offsets[axis] = (float(v[vertex][axis]) + shift * spacing) % spacing
+        assume(offsets[axis] < spacing)
+        cast = [np.array([rotation]), np.array([offsets[0]]), np.array([offsets[1]])]
+        count_x, count_y, near = filtered_crossings(*cast, spacing)
+        assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast, spacing))
+        coords = [float(p[axis]) for p in v]
+        if abs(shift) < FILTER_GUARD and coords[vertex] in (min(coords), max(coords)):
+            assert near[0]

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from buffon.estimators import run_triangle_trials
 from buffon.sampling import CastSample, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream
@@ -117,6 +119,21 @@ def test_config_rejects_out_of_range_values():
     with pytest.raises(ValueError):
         RngConfig(1 << 64, 0)
     RngConfig((1 << 64) - 1, (1 << 64) - 1)  # extremes are valid
+
+
+def test_seeds_from_2_63_get_their_own_keys():
+    # A seed at or above 2**63 with a smaller stream id is its own key, with no
+    # float64 rounding (and no RuntimeWarning); seeds below keep the keys they had.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = {
+            seed: run_triangle_trials(10_000, RngConfig(seed, 0).stream())
+            for seed in (0, 1 << 63, (1 << 63) + 1, (1 << 64) - 2, (1 << 64) - 1)
+        }
+    assert len({(a.count_x_total, a.count_y_total) for a in counts.values()}) == len(counts)
+    for seed, stream_id in [(0, 0), (42, 7), ((1 << 63) - 1, 0), ((1 << 63) - 1, (1 << 63) - 1)]:
+        listed = np.random.Generator(np.random.Philox(key=[seed, stream_id])).random(8)
+        assert np.array_equal(RngConfig(seed, stream_id).stream().random(8), listed)
 
 
 @pytest.mark.parametrize("cast", [4, 12, 65536, 100000, 131072])
