@@ -5,7 +5,7 @@ casts an equilateral triangle (side equal to the tile size) onto a square
 tiling and counts grid-line crossings, giving pi ~= 12 * trials / crossings.
 """
 
-from .errors import DegenerateSampleError, UnsupportedConfigurationError
+from .errors import DegenerateSampleError
 from .estimators import (
     BatchResult,
     EstimateSummary,
@@ -53,7 +53,6 @@ __all__ = [
     "SummaryStats",
     "TrialAggregate",
     "TriangleSpec",
-    "UnsupportedConfigurationError",
     "Viewport",
     "crossings_per_cast",
     "draw_casts",

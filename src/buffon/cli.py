@@ -23,7 +23,6 @@ from .estimators import (
     run_batch,
     run_needle_trials,
     run_triangle_trials,
-    summarize,
 )
 from .geometry import GridSpec, TriangleSpec, crossings_per_cast
 from .oracle import expected_crossings_closed_form, expected_crossings_quadrature
@@ -71,8 +70,8 @@ def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers:
     config = RngConfig(seed, 0)
     with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
         if method == "triangle":
-            return run.join(run_triangle_trials(run.head, config.stream()))
-        return run.join(run_needle_trials(run.head, config.stream(), ratio))
+            return run.join(run_triangle_trials(run.head, config.stream()))[0]
+        return run.join(run_needle_trials(run.head, config.stream(), ratio))[0]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -140,11 +139,10 @@ def cmd_batch(args) -> int:
         bins=args.bins,
         workers=args.workers,
     )
-    stats = summarize(result.estimates)
     print(f"runs = {result.runs}  trials/run = {result.trials_per_run}")
     print(
-        f"mean = {stats.mean:.6f}  stddev = {stats.stddev:.6f}  "
-        f"95% CI = [{stats.ci_low:.6f}, {stats.ci_high:.6f}]"
+        f"mean = {result.mean:.6f}  stddev = {result.stddev:.6f}  "
+        f"95% CI = [{result.ci_low:.6f}, {result.ci_high:.6f}]"
     )
     if args.csv:
         rows = [f"{k},{est!r}" for k, est in enumerate(result.estimates)]

@@ -1,4 +1,4 @@
-"""Trial loops, one work unit split over a process pool, and cross-run statistics.
+"""Trial loops, one scheduler that splits runs over a process pool, and cross-run statistics.
 
 The triangle trial loop composes, per block of casts: draw (rotation,
 offset_x, offset_y) with ``sampling.draw_casts`` and count grid-line
@@ -14,34 +14,30 @@ Runs are split into work units.  ``tally_casts`` turns a unit, casts
 ``_BLOCK``, into integer tallies, drawing from a generator positioned at its
 first cast (see ``sampling``).  Tallies of one stream sum exactly, so no
 count, estimate or output byte depends on how a run is cut or on the worker
-count.  Two schedulers map units over a process pool:
+count.  ``SplitRun`` is the one scheduler: it maps pool tasks, each a range
+of casts on a range of streams, over a process pool.
 
-- ``SplitRun`` runs one long run (``estimate``, and the Monte Carlo leg of
-  ``validate``, on stream 0): the calling process draws the head of the
-  stream straight with the trial loop, rather than wait, while
-  ``workers - 1`` pool processes tally the rest, unit by unit.
-- ``run_batch`` runs run k on stream k: each run is cut into units of at
-  most ``_BLOCK`` casts, and the units are mapped over ``workers`` pool
-  processes a window at a time, so memory stays flat however many runs
-  there are.
+- ``estimate`` and the Monte Carlo leg of ``validate`` are a single run on
+  stream 0: the calling process draws the head of the stream straight with
+  the trial loop, rather than wait, while ``workers - 1`` pool processes
+  tally the rest.
+- ``run_batch`` runs run k on stream k, every run in the pool.  The number
+  of tasks is bounded, so memory stays flat however many runs there are.
 
-A run of one unit, or one worker, never starts a pool.
+One worker, or a single run of at most one block, never starts a pool.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 import signal
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, UnsupportedConfigurationError
+from .errors import DegenerateSampleError
 from .geometry import FILTER_GUARD, filtered_crossings
 from .sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts
 
@@ -52,14 +48,13 @@ from .sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts
 # fresh processes each: no size wins beyond host noise.  Peak RSS grows with
 # the block (37, 38, 40 and 44 MB in process).
 _BLOCK = 1 << 16
-# Casts per pool task: the pool's share of a split run goes out in units of
-# this many casts, and batch runs longer than a block in groups of at most
-# this many, so a task takes tens of milliseconds and the workers finish
-# close together.
+# Casts per pool task along a run: a run longer than this is cut into slices
+# of this many casts, so a task takes tens of milliseconds and the workers
+# finish close together.  Shorter runs go whole, several to a task.
 _TASK_CASTS = 1 << 18
-# Units in the pool at once.  Batches are mapped window by window, and a split
-# run uses larger units where it would have more than this many, so memory
-# stays flat however many casts there are.
+# Most pool tasks in one run or batch.  Every task is submitted at once, so
+# slices grow, and long runs share tasks, where there would be more than this
+# many; memory stays flat however many casts there are.
 _WINDOW_UNITS = 1 << 12
 
 
@@ -144,21 +139,18 @@ class SummaryStats:
 
 
 @dataclass(frozen=True)
-class BatchResult:
-    """Per-run estimates of one batch plus histogram and moments."""
+class BatchResult(SummaryStats):
+    """Per-run estimates of one batch, their ``summarize`` statistics and a histogram."""
 
     runs: int
     trials_per_run: int
     estimates: tuple[float, ...]
-    mean: float
-    stddev: float
     histogram: tuple[tuple[float, float, int], ...]
 
 
 def _triangle_block(rng, m: int, spacing: float) -> tuple[int, int, int]:
     """Tally m casts; returns (count_x, count_y, sum of squared totals)."""
     rotation, offset_x, offset_y = draw_casts(rng, m, spacing)
-    # Triangles of side == spacing, in this model.
     count_x, count_y, _ = filtered_crossings(rotation, offset_x, offset_y, spacing)
     # The counts are small integers in float32, so their squares are exact and
     # float64 sums stay exact up to 2**53.  (Not np.dot: a float dot goes to
@@ -172,23 +164,16 @@ def _triangle_block(rng, m: int, spacing: float) -> tuple[int, int, int]:
     )
 
 
-def run_triangle_trials(
-    n: int, rng, side: float = 1.0, spacing: float = 1.0
-) -> TrialAggregate:
-    """Cast the triangle n times and tally grid-line crossings.
+def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
+    """Cast a triangle of side ``spacing`` n times on a grid of that spacing and tally crossings.
 
     The triangle is centered at the origin; each cast draws a rotation and
     the two grid offsets from ``rng`` (anything with the Generator
-    ``random(size)`` interface).  Requires ``side == spacing``: the rate is
-    ``12 * side / (pi * spacing)`` crossings per cast at any ratio, but the
-    estimators here are scaled for the ratio 1 (12/pi) only.
+    ``random(size)`` interface).  The expected count is 12/pi per cast, the
+    rate ``estimate_pi_triangle`` inverts.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
-    if side != spacing:
-        raise UnsupportedConfigurationError(
-            f"triangle side ({side}) must equal grid spacing ({spacing})"
-        )
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
     count_x = count_y = sq_sum = 0
@@ -269,29 +254,6 @@ def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
     return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
 
 
-def _check_run(trials: int, method: str, ratio: float) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if method not in ("triangle", "needle"):
-        raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
-    if method == "needle" and not 0 < ratio <= 1:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-
-
-def _tallies(agg: TrialAggregate | NeedleAggregate) -> tuple[int, ...]:
-    if isinstance(agg, TrialAggregate):
-        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
-    return (agg.hits,)
-
-
-def _aggregate(
-    trials: int, tallies: tuple[int, ...], method: str, ratio: float
-) -> TrialAggregate | NeedleAggregate:
-    if method == "triangle":
-        return TrialAggregate(trials, *tallies)
-    return NeedleAggregate(trials, tallies[0], ratio)
-
-
 def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
     """Integer tallies of one work unit ``(seed, stream_id, start_cast, n_casts, method, ratio)``.
 
@@ -303,13 +265,14 @@ def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
     seed, stream_id, start_cast, n_casts, method, ratio = unit
     config = RngConfig(seed, stream_id)
     if method == "triangle":
-        return _tallies(run_triangle_trials(n_casts, config.stream(start_cast)))
-    return _tallies(run_needle_trials(n_casts, config.stream(start_cast, UNIFORMS_PER_DROP), ratio))
+        agg = run_triangle_trials(n_casts, config.stream(start_cast))
+        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
+    return (run_needle_trials(n_casts, config.stream(start_cast, UNIFORMS_PER_DROP), ratio).hits,)
 
 
-# A pool worker's Ctrl-C state: an interrupt stops the unit that is running,
-# and a unit that starts after it stops at once, so an interrupted pool stops
-# however long its units are.  A worker waiting for work only notes the
+# A pool worker's Ctrl-C state: an interrupt stops the task that is running,
+# and a task that starts after it stops at once, so an interrupted pool stops
+# however long its tasks are.  A worker waiting for work only notes the
 # interrupt, so that the parent alone reports it.
 _worker = {"busy": False, "interrupted": False}
 
@@ -324,32 +287,40 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, _on_sigint_in_worker)
 
 
-def _tally_in_worker(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
-    """``tally_casts`` in a pool worker; after Ctrl-C the KeyboardInterrupt is the result."""
+def _tally_in_worker(task: tuple[int, range, int, int, str, float]) -> list[tuple[int, ...]]:
+    """The ``tally_casts`` of a task ``(seed, streams, start_cast, n_casts, method, ratio)``, one per stream.
+
+    Runs in a pool worker; after Ctrl-C the KeyboardInterrupt is the result.
+    """
     if _worker["interrupted"]:
         raise KeyboardInterrupt
     _worker["busy"] = True
     try:
-        return tally_casts(unit)
+        seed, streams, start_cast, n_casts, method, ratio = task
+        return [tally_casts((seed, k, start_cast, n_casts, method, ratio)) for k in streams]
     finally:
         _worker["busy"] = False
 
 
 class SplitRun:
-    """One run of ``trials`` casts on stream ``config``, split between this process and a pool.
+    """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over a pool.
 
-    The calling process draws the first ``head`` casts, about a ``1/workers``
-    share, straight from ``config.stream()`` with ``run_triangle_trials`` (or
-    ``run_needle_trials``) and hands the aggregate to ``join``.  Meanwhile a
-    pool of ``workers - 1`` processes tallies the rest of the stream in units
-    of ``_TASK_CASTS`` casts, larger where that would make more than
-    ``_WINDOW_UNITS`` units.  With one worker, or a run of at most one block,
-    ``head`` is the whole run and no pool starts::
+    A pool task is a range of casts on a range of streams.  Runs of at most
+    ``_TASK_CASTS`` casts go whole, grouped about four tasks per worker; longer
+    runs are cut into slices of ``_TASK_CASTS`` casts, grown so there are at
+    most ``_WINDOW_UNITS`` tasks.  Every task is submitted on entering the block.
+
+    Only a single run gives this process a head, its first ``head`` casts
+    (about a ``1/workers`` share), while ``workers - 1`` pool processes tally
+    the rest.  The caller may draw the head from ``config.stream()`` with the
+    trial loop and hand its aggregate to ``join``; ``join()`` tallies it
+    itself.  At one worker every run is all head, as is a single run of at
+    most one block, and no pool starts::
 
         with SplitRun(trials, config, workers=workers) as run:
-            agg = run.join(run_triangle_trials(run.head, config.stream()))
+            (agg,) = run.join(run_triangle_trials(run.head, config.stream()))
 
-    Leaving the block, on an error or Ctrl-C too, drops the queued units and
+    Leaving the block, on an error or Ctrl-C too, drops the queued tasks and
     waits only for the running ones.
     """
 
@@ -361,88 +332,84 @@ class SplitRun:
         *,
         ratio: float = 1.0,
         workers: int = 1,
+        runs: int = 1,
     ) -> None:
-        _check_run(trials, method, ratio)
+        if trials < 1 or runs < 1:
+            raise ValueError(f"trials and runs must be >= 1, got {trials} and {runs}")
+        if method not in ("triangle", "needle"):
+            raise ValueError(f"method must be 'triangle' or 'needle', got {method!r}")
+        if method == "needle" and not 0 < ratio <= 1:
+            raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.trials, self.config, self.method, self.ratio = trials, config, method, ratio
-        # This process's share, rounded to whole blocks so the pool's units
-        # start on block boundaries.
-        share = _BLOCK * max(1, (2 * trials + workers * _BLOCK) // (2 * workers * _BLOCK))
-        self.head = trials if workers == 1 else min(trials, share)
-        self._workers = workers - 1
+        self.trials, self.runs, self.config, self.method, self.ratio = trials, runs, config, method, ratio
+        if workers == 1:
+            self.head = trials
+        elif runs == 1:
+            # Rounded to whole blocks, so the pool's tasks start on block boundaries.
+            self.head = min(trials, _BLOCK * max(1, (2 * trials + workers * _BLOCK) // (2 * workers * _BLOCK)))
+        else:
+            self.head = 0
+        self._workers = workers - 1 if runs == 1 else workers
         self._pool = None
-        self._futures = []
+        self._tasks = []
 
     def __enter__(self) -> "SplitRun":
-        tail = self.trials - self.head
-        if tail:
-            size = max(_TASK_CASTS, _BLOCK * -(-tail // (_WINDOW_UNITS * _BLOCK)))
+        span = self.trials - self.head
+        if span:
+            first, runs = self.config.stream_id, self.runs
+            if span <= _TASK_CASTS:
+                group, size = -(-runs // min(4 * self._workers, _WINDOW_UNITS)), span
+            else:
+                group = -(-runs // _WINDOW_UNITS)
+                slices = _WINDOW_UNITS // -(-runs // group)
+                size = max(_TASK_CASTS, _BLOCK * -(-span // (slices * _BLOCK)))
+            rows = [range(k, min(k + group, first + runs)) for k in range(first, first + runs, group)]
             starts = range(self.head, self.trials, size)
             self._pool = ProcessPoolExecutor(
-                max_workers=min(self._workers, len(starts)), initializer=_init_worker
+                max_workers=min(self._workers, len(rows) * len(starts)), initializer=_init_worker
             )
             try:
-                seed, stream_id = self.config.seed, self.config.stream_id
-                for start in starts:
-                    unit = (seed, stream_id, start, min(size, self.trials - start), self.method, self.ratio)
-                    self._futures.append(self._pool.submit(_tally_in_worker, unit))
+                for streams in rows:
+                    for start in starts:
+                        n = min(size, self.trials - start)
+                        task = (self.config.seed, streams, start, n, self.method, self.ratio)
+                        self._tasks.append((streams, self._pool.submit(_tally_in_worker, task)))
             except BaseException:
                 self._pool.shutdown(cancel_futures=True)
                 raise
         return self
 
-    def join(self, head: TrialAggregate | NeedleAggregate) -> TrialAggregate | NeedleAggregate:
-        """The whole run's aggregate: ``head`` (this process's share) plus the pool's units."""
-        if head.trials != self.head:
-            raise ValueError(f"the head has {self.head} casts, got an aggregate of {head.trials}")
-        tallies = _tallies(head)
-        for future in self._futures:
-            tallies = tuple(map(operator.add, tallies, future.result()))
-        return _aggregate(self.trials, tallies, self.method, self.ratio)
+    def join(self, head: TrialAggregate | NeedleAggregate | None = None) -> list:
+        """Each run's aggregate, in stream order: this process's share plus the pool's tasks.
+
+        ``head`` is this process's share of a single run, drawn by the caller.
+        """
+        seed, first = self.config.seed, self.config.stream_id
+        if head is None:
+            zero = (0, 0, 0) if self.method == "triangle" else (0,)
+            totals = [
+                tally_casts((seed, k, 0, self.head, self.method, self.ratio)) if self.head else zero
+                for k in range(first, first + self.runs)
+            ]
+        elif self.runs != 1 or head.trials != self.head:
+            raise ValueError(
+                f"join takes the head of a single run, {self.head} casts; got {head.trials} with runs = {self.runs}"
+            )
+        elif self.method == "triangle":
+            totals = [(head.count_x_total, head.count_y_total, head.total_sq_sum)]
+        else:
+            totals = [(head.hits,)]
+        for streams, future in self._tasks:
+            for k, tallies in zip(streams, future.result()):
+                totals[k - first] = tuple(map(operator.add, totals[k - first], tallies))
+        if self.method == "triangle":
+            return [TrialAggregate(self.trials, *t) for t in totals]
+        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals]
 
     def __exit__(self, *exc_info) -> None:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
-
-
-def _run_streams(
-    seed: int, streams: Sequence[int], trials: int, method: str, ratio: float, workers: int
-) -> list[TrialAggregate] | list[NeedleAggregate]:
-    """Aggregates of one run of ``trials`` casts on each of ``streams``, in order.
-
-    Each run is cut into units of at most ``_BLOCK`` casts, and a run's
-    integer tallies are summed as its units finish.  With more than one
-    worker and more than one unit, units are mapped over a process pool; a
-    run of one unit, or one worker, runs in this process.
-    """
-    _check_run(trials, method, ratio)
-    units = (
-        (seed, k, start, min(_BLOCK, trials - start), method, ratio)
-        for k in streams
-        for start in range(0, trials, _BLOCK)
-    )
-    totals = {k: (0, 0, 0) if method == "triangle" else (0,) for k in streams}
-    n_units = len(streams) * -(-trials // _BLOCK)
-    pool, tally = None, functools.partial(map, tally_casts)
-    if workers > 1 and n_units > 1:
-        # Four tasks per worker in each window; where runs span several
-        # units, a task holds at most _TASK_CASTS casts.
-        per_task = min(n_units, _WINDOW_UNITS) // (4 * workers)
-        if trials > _BLOCK:
-            per_task = min(per_task, _TASK_CASTS // _BLOCK)
-        pool = ProcessPoolExecutor(max_workers=min(workers, n_units), initializer=_init_worker)
-        tally = functools.partial(pool.map, _tally_in_worker, chunksize=max(1, per_task))
-    try:
-        while window := list(itertools.islice(units, _WINDOW_UNITS)):
-            for unit, tallies in zip(window, tally(window)):
-                totals[unit[1]] = tuple(map(operator.add, totals[unit[1]], tallies))
-    finally:
-        if pool is not None:
-            # On an error or Ctrl-C, even one that comes while map is still
-            # submitting, drop the queued tasks and wait only for the running ones.
-            pool.shutdown(cancel_futures=True)
-    return [_aggregate(trials, totals[k], method, ratio) for k in streams]
 
 
 def run_batch(
@@ -455,30 +422,31 @@ def run_batch(
     bins: int = 40,
     workers: int = 1,
 ) -> BatchResult:
-    """R independent runs, run k on stream k; estimates, moments, histogram.
+    """R independent runs, run k on stream ``config.stream_id + k``; estimates, statistics, histogram.
 
-    Results are a pure function of (seed, runs, trials, method, ratio,
+    Results are a pure function of (seed, stream, runs, trials, method, ratio,
     bins): workers only controls parallelism, never values or ordering.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    with SplitRun(trials, config, method, ratio=ratio, workers=workers, runs=runs) as batch:
+        aggregates = batch.join()
     estimate = estimate_pi_triangle if method == "triangle" else estimate_pi_needle
     estimates = []
-    for k, agg in enumerate(_run_streams(config.seed, range(runs), trials, method, ratio, workers)):
+    for k, agg in enumerate(aggregates):
         try:
             estimates.append(estimate(agg).pi_estimate)
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"run {k}: {exc}") from None
     estimates = tuple(estimates)
-    stats = summarize(estimates)
     values = np.asarray(estimates)
     counts, edges = np.histogram(values, bins=bins, range=(float(values.min()), float(values.max())))
     histogram = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
     )
-    return BatchResult(runs, trials, estimates, stats.mean, stats.stddev, histogram)
+    return BatchResult(
+        **vars(summarize(estimates)), runs=runs, trials_per_run=trials, estimates=estimates, histogram=histogram
+    )
 
 
 def summarize(estimates) -> SummaryStats:

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
 from .geometry import THIRD_TURN, crossings_per_cast, make_triangle
 
 # Lattice points counted at once: the lattice is counted in slabs of at most
@@ -85,16 +84,13 @@ def mean_width_identity(side: float) -> float:
 
 
 def expected_crossings_closed_form(side: float, spacing: float) -> float:
-    """Expected crossings per cast: 2 * (mean width / spacing) * 2 = 12/pi.
+    """Expected crossings per cast: 2 * (mean width / spacing) * 2 = 12 * side / (pi * spacing).
 
     Each line family straddles the triangle with expected multiplicity
     mean width / spacing, each straddled line is crossed twice, and there
-    are two families.  The same argument (Cauchy-Crofton) gives
-    ``12 * side / (pi * spacing)`` at any ratio; this function covers
-    side == spacing only, the one configuration the package models.
+    are two families (Cauchy-Crofton), at any ratio of side to spacing; at
+    ``side == spacing`` the rate is 12/pi.
     """
-    if side != spacing:
-        raise UnsupportedConfigurationError(
-            f"triangle side ({side}) must equal grid spacing ({spacing})"
-        )
+    if not spacing > 0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     return 2.0 * (mean_width_identity(side) / spacing) * 2.0

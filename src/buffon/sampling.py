@@ -67,9 +67,6 @@ class RngConfig:
         bit_generator.advance(start // _UNIFORMS_PER_STEP)
         return np.random.Generator(bit_generator)
 
-    def with_stream(self, stream_id: int) -> "RngConfig":
-        return RngConfig(self.seed, stream_id)
-
 
 @dataclass(frozen=True)
 class CastSample:

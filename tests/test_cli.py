@@ -317,6 +317,29 @@ class TestWorkers:
         argv = ["-m", "buffon.cli", "estimate", "--trials", trials, "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
+    def test_ctrl_c_stops_a_long_batch_without_a_traceback(self):
+        # Four runs of 1e10 casts: 4072 queued tasks of about 1e7 casts each.
+        argv = ["-m", "buffon.cli", "batch", "--runs", "4", "--trials", "10000000000", "--seed", "1", "--workers", "2"]
+        assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
+
+    @pytest.mark.parametrize("cpus, argv", [
+        (3, ["estimate", "--trials", "200000", "--workers", "1"]),
+        (3, ["estimate", "--trials", "65536", "--workers", "3"]),
+        (3, ["batch", "--runs", "3", "--trials", "100000", "--workers", "1"]),
+        (3, ["batch", "--runs", "1", "--trials", "65536", "--workers", "3"]),
+        (1, ["validate", "--mc-trials", "200000"]),
+        (3, ["validate", "--mc-trials", "65536"]),
+    ], ids=["estimate-1-worker", "estimate-1-block", "batch-1-worker", "batch-1-block",
+            "validate-1-cpu", "validate-1-block"])
+    def test_one_worker_or_one_block_starts_no_pool(self, monkeypatch, cpus, argv):
+        # validate's Monte Carlo leg runs on every usable CPU.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main([*argv, "--seed", "1"]) == 0
+
     def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
         # This process is busy with its share of the casts; the one pool worker
         # has finished its unit and waits for work when the signal comes.

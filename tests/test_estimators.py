@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import buffon.estimators as estimators
-from buffon.errors import DegenerateSampleError, UnsupportedConfigurationError
+from buffon.errors import DegenerateSampleError
 from buffon.estimators import (
     BatchResult,
     NeedleAggregate,
@@ -14,6 +14,7 @@ from buffon.estimators import (
     estimate_pi_needle,
     estimate_pi_triangle,
     SplitRun,
+    SummaryStats,
     run_batch,
     run_needle_trials,
     run_triangle_trials,
@@ -61,7 +62,7 @@ class TestRunTriangleTrials:
         # Four blocks and a tail through the float32 filter, against one
         # float64 pass over the same casts.
         for seed in (0, 1, 42):
-            agg = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing, spacing)
+            agg = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing)
             rotation, offset_x, offset_y = draw_casts(RngConfig(seed, 0).stream(), 300_000, spacing)
             v = make_triangle((0.0, 0.0), spacing, rotation)
             count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
@@ -74,10 +75,6 @@ class TestRunTriangleTrials:
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         pieces = run_triangle_trials(600, RngConfig(61, 0).stream())
         assert whole == pieces
-
-    def test_rejects_mismatched_side_and_spacing(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            run_triangle_trials(10, RngConfig(1, 0).stream(), side=0.5, spacing=1.0)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -213,8 +210,10 @@ class TestRunBatch:
         assert len(result.histogram) == 12
         assert sum(count for _, _, count in result.histogram) == 50
         assert result.mean == pytest.approx(float(np.mean(result.estimates)), rel=1e-12)
-        stats = summarize(result.estimates)
-        assert (result.mean, result.stddev) == (stats.mean, stats.stddev)
+        # The batch carries the statistics of its estimates.
+        assert summarize(result.estimates) == SummaryStats(
+            result.mean, result.stddev, result.standard_error, result.ci_low, result.ci_high
+        )
 
     def test_needle_batch(self):
         result = run_batch(5, 20_000, RngConfig(17, 0), "needle", ratio=0.75)
@@ -252,6 +251,19 @@ def _count_unit(unit):
     return 1, unit[3], 0
 
 
+def _record_tasks(monkeypatch):
+    """The list of tasks the scheduler submits to its pool from now on."""
+    submitted = []
+
+    class RecordingPool(estimators.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            submitted.append(task)
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    return submitted
+
+
 class TestChunkedRuns:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -280,8 +292,10 @@ class TestChunkedRuns:
     def _split_run(trials, config, method, ratio, workers):
         with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
             if method == "triangle":
-                return run.join(run_triangle_trials(run.head, config.stream()))
-            return run.join(run_needle_trials(run.head, config.stream(), ratio))
+                (agg,) = run.join(run_triangle_trials(run.head, config.stream()))
+            else:
+                (agg,) = run.join(run_needle_trials(run.head, config.stream(), ratio))
+        return agg
 
     @pytest.mark.parametrize("window", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -311,20 +325,37 @@ class TestChunkedRuns:
         assert SplitRun(trials, RngConfig(1, 0), workers=workers).head == head
 
     def test_batch_runs_longer_than_a_block(self, monkeypatch):
-        # Three runs of four units, mapped in windows of 5, 5 and 2 units that span runs.
+        # Blocks and slices of 256 casts and at most 5 tasks: 3 runs of 4 blocks
+        # take one task each, 7 runs share 4 tasks, and one run of 4 blocks is
+        # split between this process (2 blocks) and two pool tasks.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
+        monkeypatch.setattr(estimators, "_TASK_CASTS", 256)
         monkeypatch.setattr(estimators, "_WINDOW_UNITS", 5)
-        result = run_batch(3, 1000, RngConfig(20, 0), workers=2)
-        for k in range(3):
-            agg = run_triangle_trials(1000, RngConfig(20, k).stream())
-            assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+        submitted = _record_tasks(monkeypatch)
+        for runs, tasks in [(3, 3), (7, 4), (1, 2)]:
+            submitted.clear()
+            result = run_batch(runs, 1000, RngConfig(20, 0), workers=2)
+            assert len(submitted) == tasks
+            for k in range(runs):
+                agg = run_triangle_trials(1000, RngConfig(20, k).stream())
+                assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+
+    @pytest.mark.parametrize("workers, tasks", [(2, 8), (3, 10)])
+    def test_short_runs_go_whole_about_four_tasks_per_worker(self, monkeypatch, workers, tasks):
+        # 50 runs in groups of ceil(50 / (4 * workers)): 7 runs a task at 2 workers, 5 at 3.
+        submitted = _record_tasks(monkeypatch)
+        result = run_batch(50, 300, RngConfig(22, 0), workers=workers)
+        assert len(submitted) == tasks
+        assert all((task[2], task[3]) == (0, 300) for task in submitted)
+        assert sorted(k for task in submitted for k in task[1]) == list(range(50))
+        assert result == run_batch(50, 300, RngConfig(22, 0), workers=1)
 
     def test_a_long_split_run_has_at_most_a_window_of_units(self, monkeypatch):
         # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in unit
         # tallies (1, its casts, 0), so the join counts units and casts.
         monkeypatch.setattr(estimators, "tally_casts", _count_unit)
         with SplitRun(10**10, RngConfig(1, 0), workers=2) as run:
-            agg = run.join(TrialAggregate(run.head, 0, 0, 0))
+            (agg,) = run.join(TrialAggregate(run.head, 0, 0, 0))
         assert agg.trials == 10**10
         assert agg.count_y_total == 10**10 - run.head
         assert 2000 < agg.count_x_total <= estimators._WINDOW_UNITS
@@ -332,6 +363,7 @@ class TestChunkedRuns:
     def test_split_run_validation(self):
         for args, kwargs in [
             ((0, RngConfig(1, 0)), {}),
+            ((10, RngConfig(1, 0)), {"runs": 0}),
             ((10, RngConfig(1, 0), "coin"), {}),
             ((10, RngConfig(1, 0), "needle"), {"ratio": 1.5}),
             ((10, RngConfig(1, 0)), {"workers": 0}),
@@ -339,8 +371,15 @@ class TestChunkedRuns:
             with pytest.raises(ValueError):
                 SplitRun(*args, **kwargs)
         with SplitRun(10, RngConfig(1, 0)) as run:
-            with pytest.raises(ValueError, match="head has 10 casts"):
+            with pytest.raises(ValueError, match="head of a single run, 10 casts"):
                 run.join(run_triangle_trials(9, RngConfig(1, 0).stream()))
+        # Only a single run takes a head; a batch's join tallies this process's share.
+        with SplitRun(10, RngConfig(1, 0), runs=2) as run:
+            with pytest.raises(ValueError, match="runs = 2"):
+                run.join(run_triangle_trials(10, RngConfig(1, 0).stream()))
+            assert run.join() == [
+                run_triangle_trials(10, RngConfig(1, k).stream()) for k in (0, 1)
+            ]
 
 
 class TestSummarize:

@@ -3,15 +3,14 @@ import math
 import pytest
 
 import buffon.oracle as oracle
-from buffon.errors import UnsupportedConfigurationError
 from buffon.estimators import run_triangle_trials
-from buffon.geometry import make_triangle
+from buffon.geometry import crossings_per_cast, make_triangle
 from buffon.oracle import (
     expected_crossings_closed_form,
     expected_crossings_quadrature,
     mean_width_identity,
 )
-from buffon.sampling import RngConfig
+from buffon.sampling import RngConfig, draw_casts
 
 TARGET = 12.0 / math.pi
 
@@ -97,9 +96,19 @@ class TestClosedForm:
     def test_scale_invariant(self):
         assert expected_crossings_closed_form(2.0, 2.0) == pytest.approx(12.0 / math.pi, rel=1e-15)
 
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            expected_crossings_closed_form(0.5, 1.0)
+    @pytest.mark.parametrize("side, spacing", [(0.5, 1.0), (2.0, 1.0), (1.0, 3.7)])
+    def test_crofton_rate_at_any_ratio(self, side, spacing):
+        # A million casts of the counter at side != spacing land within 5
+        # standard errors of 12 * side / (pi * spacing).
+        rotation, offset_x, offset_y = draw_casts(RngConfig(23, 0).stream(), 1_000_000, spacing)
+        count_x, count_y = crossings_per_cast(make_triangle((0.0, 0.0), side, rotation), offset_x, offset_y, spacing)
+        total = count_x + count_y
+        standard_error = total.std(ddof=1) / math.sqrt(total.size)
+        assert abs(total.mean() - expected_crossings_closed_form(side, spacing)) < 5 * standard_error
+
+    def test_rejects_nonpositive_spacing(self):
+        with pytest.raises(ValueError):
+            expected_crossings_closed_form(1.0, 0.0)
 
 
 class TestThreeWayAgreement:

@@ -104,13 +104,6 @@ def test_streams_uncorrelated():
     assert abs(float(np.corrcoef(r0, r1)[0, 1])) < 0.01
 
 
-def test_with_stream_moves_only_the_stream():
-    config = RngConfig(77, 0)
-    moved = config.with_stream(9)
-    assert moved == RngConfig(77, 9)
-    assert config.stream_id == 0
-
-
 def test_config_rejects_out_of_range_values():
     with pytest.raises(ValueError):
         RngConfig(-1, 0)
