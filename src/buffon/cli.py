@@ -63,6 +63,17 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"--workers must be >= 1, got {workers}")
 
 
+def _needle_ratio(args) -> float:
+    """The needle's ``--ratio``, 1 when omitted; a usage error with the triangle or outside (0, 1]."""
+    if args.ratio is None:
+        return 1.0
+    if args.method == "triangle":
+        raise ValueError("--ratio only applies to --method needle")
+    if not 0 < args.ratio <= 1:
+        raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio}")
+    return args.ratio
+
+
 def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int):
     """One run on stream 0.  This process draws its share of the casts straight
     from the start of the stream, as a one-worker run draws them all, while
@@ -79,13 +90,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_estimate(args) -> int:
-    if args.method == "triangle" and args.ratio is not None:
-        raise ValueError("--ratio only applies to --method needle")
+    ratio = _needle_ratio(args)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
-    ratio = 1.0 if args.ratio is None else args.ratio
     agg = _run_stream_zero(args.trials, seed, args.method, ratio, args.workers)
     if args.method == "triangle":
         summary = estimate_pi_triangle(agg)
@@ -121,15 +130,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    if args.method == "triangle" and args.ratio is not None:
-        raise ValueError("--ratio only applies to --method needle")
+    ratio = _needle_ratio(args)
     if args.runs < 1 or args.trials < 1:
         raise ValueError("--runs and --trials must be >= 1")
     if args.bins < 1:
         raise ValueError(f"--bins must be >= 1, got {args.bins}")
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
-    ratio = 1.0 if args.ratio is None else args.ratio
     result = run_batch(
         args.runs,
         args.trials,
@@ -189,6 +196,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 
 def cmd_validate(args) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     if args.mc_trials is not None and args.mc_trials < 1:
         raise ValueError(f"--mc-trials must be >= 1, got {args.mc_trials}")
     n_theta, n_offset = _parse_resolution(args.resolution)

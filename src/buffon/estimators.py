@@ -1,21 +1,21 @@
 """Trial loops, one scheduler that splits runs over a process pool, and cross-run statistics.
 
-The triangle trial loop composes, per block of casts: draw (rotation,
-offset_x, offset_y) with ``sampling.draw_casts`` and count grid-line
-crossings with ``geometry.filtered_crossings``.  That builds the triangles at
-the origin in float32 and counts the few casts within ``FILTER_GUARD`` of a
-line again through the float64 path (``geometry.make_triangle`` +
-``geometry.crossings_per_cast``), so every count equals that path's.  The
-needle loop decides its hits in float32 the same way, with the same guard.
-Counts are elementwise, so tallies do not depend on the block size.
+One trial loop, ``_tally_runs``, serves every caller.  It fills blocks of
+``_BLOCK`` casts with consecutive pieces, whole short runs or stretches of
+long ones, and counts each block with one kernel call:
+``geometry.filtered_crossings`` builds the triangles in float32 and counts
+the few casts within ``FILTER_GUARD`` of a line again through the float64
+path, so every count equals that path's, and the needle's hits are decided
+the same way.  ``np.add.reduceat`` splits the per-cast counts per run.
+Counts are elementwise, so tallies do not depend on how casts share blocks.
 
-Runs are split into work units.  ``tally_casts`` turns a unit, casts
-``start .. start + n - 1`` of one stream with ``start`` a multiple of
-``_BLOCK``, into integer tallies, drawing from a generator positioned at its
-first cast (see ``sampling``).  Tallies of one stream sum exactly, so no
-count, estimate or output byte depends on how a run is cut or on the worker
-count.  ``SplitRun`` is the one scheduler: it maps pool tasks, each a range
-of casts on a range of streams, over a process pool.
+Runs are split into pool tasks.  ``tally_casts`` turns a task, casts
+``start .. start + n - 1`` of a range of streams with ``start`` a multiple of
+``_BLOCK``, into integer tallies, one row per stream, drawing from one
+generator re-keyed at each stream's first cast (see ``sampling``).  Tallies
+of one stream sum exactly, so no count, estimate or output byte depends on
+how runs are cut or packed, or on the worker count.  ``SplitRun`` is the one
+scheduler: it maps pool tasks over a process pool.
 
 - ``estimate`` and the Monte Carlo leg of ``validate`` are a single run on
   stream 0: the calling process draws the head of the stream straight with
@@ -30,7 +30,6 @@ One worker, or a single run of at most one block, never starts a pool.
 from __future__ import annotations
 
 import math
-import operator
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,9 +38,10 @@ import numpy as np
 
 from .errors import DegenerateSampleError
 from .geometry import FILTER_GUARD, filtered_crossings
-from .sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts
+from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
 
-# Casts per vectorized block.  With the float32 filter, 6e6 casts on a
+# Casts per vectorized block, and so per kernel call: short runs are packed
+# into blocks of this size too.  With the float32 filter, 6e6 casts on a
 # 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.387 s
 # (0.369-0.393) at 1 << 14, 0.353 s (0.345-0.368) at 1 << 15, 0.359 s
 # (0.323-0.375) at 1 << 16 and 0.393 s (0.372-0.407) at 1 << 17, fourteen
@@ -148,20 +148,71 @@ class BatchResult(SummaryStats):
     histogram: tuple[tuple[float, float, int], ...]
 
 
-def _triangle_block(rng, m: int, spacing: float) -> tuple[int, int, int]:
-    """Tally m casts; returns (count_x, count_y, sum of squared totals)."""
-    rotation, offset_x, offset_y = draw_casts(rng, m, spacing)
-    count_x, count_y, _ = filtered_crossings(rotation, offset_x, offset_y, spacing)
-    # The counts are small integers in float32, so their squares are exact and
-    # float64 sums stay exact up to 2**53.  (Not np.dot: a float dot goes to
-    # BLAS, whose threads spin against the pool's other processes.)
-    total = count_x + count_y
-    np.square(total, out=total)
-    return (
-        int(count_x.sum(dtype=np.float64)),
-        int(count_y.sum(dtype=np.float64)),
-        int(total.sum(dtype=np.float64)),
-    )
+def _tally_runs(rng, n: int, method: str, *, spacing=1.0, ratio=1.0, runs=1, rekey=None) -> np.ndarray:
+    """Integer tallies of ``runs`` runs of n casts each, packed back to back into blocks of ``_BLOCK`` casts.
+
+    ``rng`` stands at run 0's first cast, and ``rekey(i)`` moves it to run i's
+    first cast; a run that straddles two blocks goes on drawing from ``rng``.
+    Returns an int64 array of one row per run: ``(count_x, count_y, sq_sum)``
+    for the triangle, ``(hits,)`` for the needle.
+    """
+    triangle = method == "triangle"
+    uniforms = UNIFORMS_PER_CAST if triangle else UNIFORMS_PER_DROP
+    tallies = np.zeros((runs, 3 if triangle else 1), dtype=np.int64)
+    run, left, remaining = 0, n, runs * n
+    while remaining:
+        m = min(_BLOCK, remaining)
+        starts, pieces, filled = [], [], 0
+        while filled < m:
+            if not left:
+                run, left = run + 1, n
+                rekey(run)
+            take = min(left, m - filled)
+            starts.append(filled)
+            pieces.append(rng.random(uniforms * take))
+            filled += take
+            left -= take
+        remaining -= m
+        # The block holds pieces of the last len(starts) runs up to ``run``.
+        tallies[run + 1 - len(starts) : run + 1] += _block_tallies(pieces, starts, triangle, spacing, ratio)
+    return tallies
+
+
+def _block_tallies(pieces, starts, triangle: bool, spacing: float, ratio: float) -> np.ndarray:
+    """Per-run int64 tallies of one block drawn as ``pieces`` of uniforms, run i's casts from ``starts[i]``.
+
+    Empties ``pieces``: a block's uniforms are freed once its casts are made,
+    and its counts on return, so no two blocks' arrays are held at once.
+    """
+    u = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    pieces.clear()
+    if triangle:
+        casts = cast_columns(u, spacing)
+        del u
+        count_x, count_y, _ = filtered_crossings(*casts, spacing)
+        # (Not np.dot for the squares: a float dot goes to BLAS, whose threads
+        # spin against the pool's other processes.)
+        total = count_x + count_y
+        np.square(total, out=total)
+        counts = count_x, count_y, total
+    else:
+        u, half_len = np.reshape(u, (-1, UNIFORMS_PER_DROP)), ratio / 2.0
+        # Decide ``half_len * sin(angle) - distance`` in float32: it is off by
+        # under 3e-7 (rounding the angle and the distance, a float32 sin and
+        # two operations), so only a gap within FILTER_GUARD can have the
+        # wrong sign, and those drops are decided again in float64.
+        gap = np.multiply(u[:, 1], math.pi, out=np.empty(len(u), np.float32), casting="same_kind")
+        np.sin(gap, out=gap)
+        gap *= half_len
+        gap -= np.multiply(u[:, 0], 0.5, out=np.empty(len(u), np.float32), casting="same_kind")
+        hit = gap >= 0
+        near = np.flatnonzero(np.abs(gap) < FILTER_GUARD)
+        hit[near] = half_len * np.sin(math.pi * u[near, 1]) >= 0.5 * u[near, 0]
+        counts = (hit,)
+    # Summed in float32, so that the triangle's counts need no float64 copy: they
+    # are integers of at most 64 (a squared total of 8), so a block's sums stay
+    # within 64 * _BLOCK = 2**22, below 2**24, and are exact.
+    return np.stack([np.add.reduceat(count, starts, dtype=np.float32) for count in counts], axis=1).astype(np.int64)
 
 
 def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
@@ -176,15 +227,7 @@ def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    count_x = count_y = sq_sum = 0
-    remaining = n
-    while remaining:
-        m = min(_BLOCK, remaining)
-        bx, by, bsq = _triangle_block(rng, m, spacing)
-        count_x += bx
-        count_y += by
-        sq_sum += bsq
-        remaining -= m
+    ((count_x, count_y, sq_sum),) = _tally_runs(rng, n, "triangle", spacing=spacing).tolist()
     return TrialAggregate(n, count_x, count_y, sq_sum)
 
 
@@ -219,28 +262,7 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    half_len = ratio / 2.0
-    hits = 0
-    remaining = n
-    while remaining:
-        m = min(_BLOCK, remaining)
-        u = rng.random(UNIFORMS_PER_DROP * m)
-        u = np.asarray(u, dtype=np.float64).reshape(m, UNIFORMS_PER_DROP)
-        # Decide ``half_len * sin(angle) - distance`` in float32: it is off by
-        # under 3e-7 (rounding the angle and the distance, a float32 sin and
-        # two operations), so only a gap within FILTER_GUARD can have the
-        # wrong sign, and those drops are decided again in float64.
-        gap = np.multiply(u[:, 1], math.pi, out=np.empty(m, np.float32), casting="same_kind")
-        np.sin(gap, out=gap)
-        gap *= half_len
-        gap -= np.multiply(u[:, 0], 0.5, out=np.empty(m, np.float32), casting="same_kind")
-        hit = gap >= 0
-        near = np.flatnonzero(np.abs(gap) < FILTER_GUARD)
-        dist, ang = 0.5 * u[near, 0], math.pi * u[near, 1]
-        hit[near] = half_len * np.sin(ang) >= dist
-        hits += int(np.count_nonzero(hit))
-        remaining -= m
-    return NeedleAggregate(n, hits, ratio)
+    return NeedleAggregate(n, int(_tally_runs(rng, n, "needle", ratio=ratio)[0, 0]), ratio)
 
 
 def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
@@ -254,20 +276,22 @@ def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
     return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
 
 
-def tally_casts(unit: tuple[int, int, int, int, str, float]) -> tuple[int, ...]:
-    """Integer tallies of one work unit ``(seed, stream_id, start_cast, n_casts, method, ratio)``.
+def tally_casts(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
+    """Integer tallies of a task ``(seed, streams, start_cast, n_casts, method, ratio)``, one row per stream.
 
-    The unit covers casts ``start_cast .. start_cast + n_casts - 1`` of stream
-    ``(seed, stream_id)``, which must start on a Philox counter boundary (see
-    ``sampling``).  Returns ``(count_x, count_y, sq_sum)`` for the triangle and
-    ``(hits,)`` for the needle.
+    The task covers casts ``start_cast .. start_cast + n_casts - 1`` of each
+    stream ``(seed, k)`` for k in ``streams``, which must start on a Philox
+    counter boundary (see ``sampling``).  One generator is re-keyed from
+    stream to stream, so short runs share blocks.  Rows are ``(count_x,
+    count_y, sq_sum)`` for the triangle and ``(hits,)`` for the needle.
     """
-    seed, stream_id, start_cast, n_casts, method, ratio = unit
-    config = RngConfig(seed, stream_id)
-    if method == "triangle":
-        agg = run_triangle_trials(n_casts, config.stream(start_cast))
-        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
-    return (run_needle_trials(n_casts, config.stream(start_cast, UNIFORMS_PER_DROP), ratio).hits,)
+    seed, streams, start_cast, n_casts, method, ratio = task
+    uniforms = UNIFORMS_PER_CAST if method == "triangle" else UNIFORMS_PER_DROP
+    rng = RngConfig(seed, streams[0]).stream(start_cast, uniforms)
+    return _tally_runs(
+        rng, n_casts, method, ratio=ratio, runs=len(streams),
+        rekey=lambda i: RngConfig(seed, streams[i]).rekey(rng.bit_generator, start_cast, uniforms),
+    )
 
 
 # A pool worker's Ctrl-C state: an interrupt stops the task that is running,
@@ -287,8 +311,8 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, _on_sigint_in_worker)
 
 
-def _tally_in_worker(task: tuple[int, range, int, int, str, float]) -> list[tuple[int, ...]]:
-    """The ``tally_casts`` of a task ``(seed, streams, start_cast, n_casts, method, ratio)``, one per stream.
+def _tally_in_worker(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
+    """The ``tally_casts`` of a task ``(seed, streams, start_cast, n_casts, method, ratio)``.
 
     Runs in a pool worker; after Ctrl-C the KeyboardInterrupt is the result.
     """
@@ -296,8 +320,7 @@ def _tally_in_worker(task: tuple[int, range, int, int, str, float]) -> list[tupl
         raise KeyboardInterrupt
     _worker["busy"] = True
     try:
-        seed, streams, start_cast, n_casts, method, ratio = task
-        return [tally_casts((seed, k, start_cast, n_casts, method, ratio)) for k in streams]
+        return tally_casts(task)
     finally:
         _worker["busy"] = False
 
@@ -386,26 +409,23 @@ class SplitRun:
         ``head`` is this process's share of a single run, drawn by the caller.
         """
         seed, first = self.config.seed, self.config.stream_id
+        totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
         if head is None:
-            zero = (0, 0, 0) if self.method == "triangle" else (0,)
-            totals = [
-                tally_casts((seed, k, 0, self.head, self.method, self.ratio)) if self.head else zero
-                for k in range(first, first + self.runs)
-            ]
+            if self.head:
+                totals += tally_casts((seed, range(first, first + self.runs), 0, self.head, self.method, self.ratio))
         elif self.runs != 1 or head.trials != self.head:
             raise ValueError(
                 f"join takes the head of a single run, {self.head} casts; got {head.trials} with runs = {self.runs}"
             )
         elif self.method == "triangle":
-            totals = [(head.count_x_total, head.count_y_total, head.total_sq_sum)]
+            totals[0] = head.count_x_total, head.count_y_total, head.total_sq_sum
         else:
-            totals = [(head.hits,)]
+            totals[0] = head.hits
         for streams, future in self._tasks:
-            for k, tallies in zip(streams, future.result()):
-                totals[k - first] = tuple(map(operator.add, totals[k - first], tallies))
+            totals[streams.start - first : streams.stop - first] += future.result()
         if self.method == "triangle":
-            return [TrialAggregate(self.trials, *t) for t in totals]
-        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals]
+            return [TrialAggregate(self.trials, *t) for t in totals.tolist()]
+        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals.tolist()]
 
     def __exit__(self, *exc_info) -> None:
         if self._pool is not None:

@@ -10,11 +10,13 @@ a Philox counter boundary.  Philox makes four 64-bit words per counter step
 and each uniform takes one word.  A triangle cast takes
 ``UNIFORMS_PER_CAST = 3`` uniforms, so cast ``c`` starts at counter
 ``3c/4``; a needle drop takes ``UNIFORMS_PER_DROP = 2``, so drop ``d``
-starts at counter ``d/2``.  ``stream(first_draw, uniforms_per_draw)``
-advances the counter there, and needs ``first_draw * uniforms_per_draw``
-to be a multiple of 4.  Chunks of a run that start at a multiple of 4
-draws (the estimators cut runs at multiples of their block size) therefore
-draw exactly the casts of one straight pass over the stream.
+starts at counter ``d/2``.  ``stream(first_draw, uniforms_per_draw)`` keys
+a fresh generator there, and ``rekey`` keys an existing one, its buffer of
+unused words cleared, so one generator re-keyed from stream to stream draws
+what fresh streams would.  Both need ``first_draw * uniforms_per_draw`` to
+be a multiple of 4.  Chunks of a run that start at a multiple of 4 draws
+(the estimators cut runs at multiples of their block size) therefore draw
+exactly the casts of one straight pass over the stream.
 """
 
 from __future__ import annotations
@@ -49,7 +51,11 @@ class RngConfig:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
     def stream(self, first_draw: int = 0, uniforms_per_draw: int = UNIFORMS_PER_CAST) -> np.random.Generator:
-        """A fresh generator positioned at draw ``first_draw`` of this stream.
+        """A fresh generator positioned at draw ``first_draw`` of this stream (see ``rekey``)."""
+        return np.random.Generator(self.rekey(np.random.Philox(key=0), first_draw, uniforms_per_draw))
+
+    def rekey(self, bit_generator, first_draw: int = 0, uniforms_per_draw: int = UNIFORMS_PER_CAST):
+        """Key the Philox ``bit_generator`` to this stream at draw ``first_draw``, its buffer cleared; returns it.
 
         Each draw takes ``uniforms_per_draw`` uniforms, and the draw must start
         on a Philox counter boundary (``first_draw * uniforms_per_draw`` a
@@ -61,11 +67,16 @@ class RngConfig:
                 f"draw {first_draw} of {uniforms_per_draw} uniforms does not start on "
                 f"a nonnegative multiple of 4 uniforms"
             )
-        # A uint64 array: a list with one value at or above 2**63 and one below
+        step = start // _UNIFORMS_PER_STEP
+        # uint64 arrays: a list with one value at or above 2**63 and one below
         # would become float64 and round the key.
-        bit_generator = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        bit_generator.advance(start // _UNIFORMS_PER_STEP)
-        return np.random.Generator(bit_generator)
+        counter = np.array([(step >> shift) & _UINT64_MAX for shift in (0, 64, 128, 192)], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return bit_generator
 
 
 @dataclass(frozen=True)
@@ -87,9 +98,14 @@ def draw_casts(
     exactly the uniforms 3i, 3i+1, 3i+2 of its stream, so drawing in blocks
     of any size gives the same casts.
     """
+    return cast_columns(rng.random(UNIFORMS_PER_CAST * m), spacing)
+
+
+def cast_columns(u, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The casts of the uniforms ``u``, three per cast, as ``draw_casts`` returns them."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    u = np.asarray(rng.random(UNIFORMS_PER_CAST * m), dtype=np.float64).reshape(m, UNIFORMS_PER_CAST)
+    u = np.asarray(u, dtype=np.float64).reshape(-1, UNIFORMS_PER_CAST)
     return TWO_PI * u[:, 0], spacing * u[:, 1], spacing * u[:, 2]
 
 

@@ -99,6 +99,14 @@ class TestEstimateCommand:
         assert captured.out == ""  # rejected before the seed line, so before any work
         assert "--workers must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("command", [["estimate", "--trials", "10"], ["batch", "--runs", "2", "--trials", "10"]])
+    @pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5", "nan"])
+    def test_needle_ratio_outside_the_unit_interval_is_usage_error(self, capsys, command, ratio):
+        assert main([*command, "--seed", "1", "--method", "needle", "--ratio", ratio]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the seed line, so before any work
+        assert "--ratio must lie in (0, 1]" in captured.err
+
     @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
     def test_worker_count_keeps_bytes_identical(self, monkeypatch, tmp_path, capsys, method):
         # Pool units of one block: this process draws the first block, and the
@@ -239,6 +247,13 @@ class TestValidateCommand:
         assert "standard errors" in out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("tolerance", ["0", "-0.001", "nan", "inf"])
+    def test_tolerance_that_always_fails_is_usage_error(self, capsys, tolerance):
+        assert main(["validate", "--mc-trials", "1000", "--seed", "1", "--tolerance", tolerance]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the quadrature
+        assert "--tolerance must be a positive finite number" in captured.err
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_mc_trials_is_usage_error(self, capsys, trials):
         assert main(["validate", "--resolution", "8", "--mc-trials", trials, "--seed", "1"]) == 1
@@ -348,7 +363,7 @@ import sys, time
 import buffon.cli as cli, buffon.estimators as estimators
 def head(n, rng):
     time.sleep(2)
-estimators.tally_casts = lambda unit: (0, 1, 1)
+estimators.tally_casts = lambda task: [(0, 1, 1)] * len(task[1])
 cli.run_triangle_trials = head
 sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
 """

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from buffon.estimators import (
     summarize,
     tally_casts,
 )
-from buffon.geometry import FILTER_GUARD, crossings_per_cast, make_triangle
+from buffon.geometry import FILTER_GUARD, crossings_per_cast, filtered_crossings, make_triangle
 from buffon.sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream, brute_force_tally
@@ -247,8 +248,8 @@ def _straight_tallies(n, config, method, ratio):
     return (run_needle_trials(n, config.stream(), ratio).hits,)
 
 
-def _count_unit(unit):
-    return 1, unit[3], 0
+def _count_unit(task):
+    return [(1, task[3], 0)] * len(task[1])
 
 
 def _record_tasks(monkeypatch):
@@ -277,16 +278,15 @@ class TestChunkedRuns:
         # A chunk may start at any multiple of 4 casts (triangle) or 2 drops (needle).
         step = 4 if method == "triangle" else 2
         bounds = sorted({0, n} | {c * step for c in cuts if c * step < n})
-        chunks = [
-            tally_casts((seed, stream_id, a, b - a, method, 0.5)) for a, b in zip(bounds, bounds[1:])
-        ]
-        summed = tuple(map(sum, zip(*chunks)))
+        streams = range(stream_id, stream_id + 1)
+        chunks = [tally_casts((seed, streams, a, b - a, method, 0.5)) for a, b in zip(bounds, bounds[1:])]
+        summed = tuple(sum(chunks)[0].tolist())
         assert summed == _straight_tallies(n, RngConfig(seed, stream_id), method, 0.5)
 
     @pytest.mark.parametrize("method, start", [("triangle", 2), ("triangle", 6), ("needle", 1)])
     def test_unit_off_a_counter_boundary_is_rejected(self, method, start):
         with pytest.raises(ValueError, match="multiple of 4"):
-            tally_casts((1, 0, start, 10, method, 0.5))
+            tally_casts((1, range(1), start, 10, method, 0.5))
 
     @staticmethod
     def _split_run(trials, config, method, ratio, workers):
@@ -351,8 +351,8 @@ class TestChunkedRuns:
         assert result == run_batch(50, 300, RngConfig(22, 0), workers=1)
 
     def test_a_long_split_run_has_at_most_a_window_of_units(self, monkeypatch):
-        # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in unit
-        # tallies (1, its casts, 0), so the join counts units and casts.
+        # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in task
+        # tallies (1, its casts, 0) per stream, so the join counts units and casts.
         monkeypatch.setattr(estimators, "tally_casts", _count_unit)
         with SplitRun(10**10, RngConfig(1, 0), workers=2) as run:
             (agg,) = run.join(TrialAggregate(run.head, 0, 0, 0))
@@ -380,6 +380,50 @@ class TestChunkedRuns:
             assert run.join() == [
                 run_triangle_trials(10, RngConfig(1, k).stream()) for k in (0, 1)
             ]
+
+
+class TestPackedRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(["triangle", "needle"]),
+        seed=st.integers(0, (1 << 64) - 1),
+        first=st.integers(0, (1 << 64) - 1),
+        runs=st.integers(1, 6),
+        # Blocks of 256 casts: runs that divide the block, that do not, that
+        # exceed half a block and that straddle one or more blocks.
+        n=st.sampled_from([1, 3, 64, 128, 129, 200, 255, 256, 257, 600]) | st.integers(1, 700),
+        start_blocks=st.integers(0, 3),
+    )
+    def test_packed_tallies_equal_straight_runs(self, method, seed, first, runs, n, start_blocks):
+        first = min(first, (1 << 64) - runs)
+        start = 256 * start_blocks
+        with mock.patch.object(estimators, "_BLOCK", 256):
+            packed = tally_casts((seed, range(first, first + runs), start, n, method, 0.5)).tolist()
+        for k, row in zip(range(first, first + runs), packed):
+            config = RngConfig(seed, k)
+            expected = np.subtract(
+                _straight_tallies(start + n, config, method, 0.5),
+                _straight_tallies(start, config, method, 0.5) if start else 0,
+            )
+            assert tuple(row) == tuple(expected.tolist())
+
+    def test_a_batch_of_short_runs_makes_a_kernel_call_per_block(self, monkeypatch):
+        # 40 runs of 100 casts are 4000 casts: one block and one call, not one
+        # call per run.  With blocks of 256 casts every call is a full block but
+        # the last.
+        sizes = []
+
+        def counted(rotation, *args):
+            sizes.append(len(rotation))
+            return filtered_crossings(rotation, *args)
+
+        monkeypatch.setattr(estimators, "filtered_crossings", counted)
+        packed = run_batch(40, 100, RngConfig(23, 0), workers=1)
+        assert len(sizes) <= math.ceil(4000 / estimators._BLOCK) + 1
+        monkeypatch.setattr(estimators, "_BLOCK", 256)
+        sizes.clear()
+        assert run_batch(40, 100, RngConfig(23, 0), workers=1) == packed
+        assert sizes == [256] * 15 + [160]
 
 
 class TestSummarize:

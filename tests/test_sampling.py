@@ -149,3 +149,17 @@ def test_stream_resumes_a_straight_draw_at_a_drop(drop):
 def test_stream_start_off_a_counter_boundary(draw, uniforms):
     with pytest.raises(ValueError, match="multiple of 4"):
         RngConfig(42, 3).stream(draw, uniforms)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        RngConfig(42, 3).rekey(np.random.Philox(key=0), draw, uniforms)
+
+
+@pytest.mark.parametrize("uniforms, first_draw", [(3, 0), (3, 4), (3, 65536), (2, 0), (2, 6), (2, 100002)])
+def test_one_generator_rekeyed_across_streams_draws_fresh_streams(uniforms, first_draw):
+    # One Philox, re-keyed from stream to stream after a partial draw that leaves
+    # words in its buffer, draws what a fresh stream at that draw would.
+    rng = RngConfig(0, 0).stream()
+    for seed in (0, 1 << 63, (1 << 64) - 1):
+        for stream_id in (0, 5, (1 << 63) + 1, (1 << 64) - 1):
+            config = RngConfig(seed, stream_id)
+            config.rekey(rng.bit_generator, first_draw, uniforms)
+            assert np.array_equal(rng.random(7), config.stream(first_draw, uniforms).random(7))
