@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # Every subcommand takes --seed; a bad one fails before any output or work.
+        if args.seed is not None and not 0 <= args.seed < 1 << 64:
+            raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,10 @@ path, so every count equals that path's, and the needle's hits are decided
 the same way.  ``np.add.reduceat`` splits the per-cast counts per run.
 Counts are elementwise, so tallies do not depend on how casts share blocks.
 
+The loop runs in one workspace per process (per thread), so a block
+allocates nothing of its size but a piece that fills it: fresh block-sized
+temporaries cost up to 11.5k page faults per 1e6 casts, against ~100 now.
+
 Runs are split into pool tasks.  ``tally_casts`` turns a task, casts
 ``start .. start + n - 1`` of a range of streams with ``start`` a multiple of
 ``_BLOCK``, into integer tallies, one row per stream, drawing from one
@@ -31,13 +35,14 @@ from __future__ import annotations
 
 import math
 import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .geometry import FILTER_GUARD, filtered_crossings
+from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
 from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
 
 # Casts per vectorized block, and so per kernel call: short runs are packed
@@ -56,6 +61,8 @@ _TASK_CASTS = 1 << 18
 # slices grow, and long runs share tasks, where there would be more than this
 # many; memory stays flat however many casts there are.
 _WINDOW_UNITS = 1 << 12
+# The trial loop's workspace, one per thread (see ``_workspace``).
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -158,61 +165,78 @@ def _tally_runs(rng, n: int, method: str, *, spacing=1.0, ratio=1.0, runs=1, rek
     """
     triangle = method == "triangle"
     uniforms = UNIFORMS_PER_CAST if triangle else UNIFORMS_PER_DROP
+    buffer, scratch = _workspace(_BLOCK)
     tallies = np.zeros((runs, 3 if triangle else 1), dtype=np.int64)
     run, left, remaining = 0, n, runs * n
     while remaining:
         m = min(_BLOCK, remaining)
-        starts, pieces, filled = [], [], 0
+        starts, filled = [], 0
         while filled < m:
             if not left:
                 run, left = run + 1, n
                 rekey(run)
             take = min(left, m - filled)
             starts.append(filled)
-            pieces.append(rng.random(uniforms * take))
+            # A piece that fills the block is drawn with ``random(size)``, all a
+            # Generator stand-in has; shorter ones go straight into the buffer.
+            if take == m:
+                u = rng.random(uniforms * m)
+            else:
+                u = buffer[: uniforms * m]
+                rng.random(out=u[uniforms * filled : uniforms * (filled + take)])
             filled += take
             left -= take
         remaining -= m
         # The block holds pieces of the last len(starts) runs up to ``run``.
-        tallies[run + 1 - len(starts) : run + 1] += _block_tallies(pieces, starts, triangle, spacing, ratio)
+        tallies[run + 1 - len(starts) : run + 1] += _block_tallies(u, starts, triangle, spacing, ratio, scratch)
+        del u  # before the next block's draw, so that no two draws are held at once
     return tallies
 
 
-def _block_tallies(pieces, starts, triangle: bool, spacing: float, ratio: float) -> np.ndarray:
-    """Per-run int64 tallies of one block drawn as ``pieces`` of uniforms, run i's casts from ``starts[i]``.
+def _workspace(block: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """This thread's uniform buffer and ``filter_workspace`` for blocks of ``block`` casts, made on first use.
 
-    Empties ``pieces``: a block's uniforms are freed once its casts are made,
-    and its counts on return, so no two blocks' arrays are held at once.
+    Per thread, not per process, so that concurrent calls cannot write into each other's blocks.
     """
-    u = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    pieces.clear()
+    if getattr(_local, "block", None) != block:
+        _local.block, _local.workspace = block, (np.empty(UNIFORMS_PER_CAST * block), filter_workspace(block))
+    return _local.workspace
+
+
+def _block_tallies(u, starts, triangle: bool, spacing: float, ratio: float, scratch) -> np.ndarray:
+    """Per-run int64 tallies of one block drawn as the uniforms ``u``, run i's casts from ``starts[i]``.
+
+    ``u`` is overwritten, and the block's per-cast arrays are written into
+    ``scratch``, a ``filter_workspace``.
+    """
     if triangle:
-        casts = cast_columns(u, spacing)
-        del u
-        count_x, count_y, _ = filtered_crossings(*casts, spacing)
-        # (Not np.dot for the squares: a float dot goes to BLAS, whose threads
-        # spin against the pool's other processes.)
-        total = count_x + count_y
+        count_x, count_y, _ = filtered_crossings(*cast_columns(u, spacing), spacing, scratch)
+        sums = [np.add.reduceat(count_x, starts), np.add.reduceat(count_y, starts)]
+        # count_x is summed, so its row takes the squared totals.  (Not np.dot:
+        # a float dot goes to BLAS, whose threads spin against the pool's
+        # other processes.)
+        total = np.add(count_x, count_y, out=count_x)
         np.square(total, out=total)
-        counts = count_x, count_y, total
+        sums.append(np.add.reduceat(total, starts))
     else:
         u, half_len = np.reshape(u, (-1, UNIFORMS_PER_DROP)), ratio / 2.0
+        (gap, other, hit), near = scratch[0][:3, : len(u)], scratch[1][: len(u)]
         # Decide ``half_len * sin(angle) - distance`` in float32: it is off by
         # under 3e-7 (rounding the angle and the distance, a float32 sin and
         # two operations), so only a gap within FILTER_GUARD can have the
         # wrong sign, and those drops are decided again in float64.
-        gap = np.multiply(u[:, 1], math.pi, out=np.empty(len(u), np.float32), casting="same_kind")
+        np.multiply(u[:, 1], math.pi, out=gap, casting="same_kind")
         np.sin(gap, out=gap)
         gap *= half_len
-        gap -= np.multiply(u[:, 0], 0.5, out=np.empty(len(u), np.float32), casting="same_kind")
-        hit = gap >= 0
-        near = np.flatnonzero(np.abs(gap) < FILTER_GUARD)
-        hit[near] = half_len * np.sin(math.pi * u[near, 1]) >= 0.5 * u[near, 0]
-        counts = (hit,)
-    # Summed in float32, so that the triangle's counts need no float64 copy: they
-    # are integers of at most 64 (a squared total of 8), so a block's sums stay
-    # within 64 * _BLOCK = 2**22, below 2**24, and are exact.
-    return np.stack([np.add.reduceat(count, starts, dtype=np.float32) for count in counts], axis=1).astype(np.int64)
+        gap -= np.multiply(u[:, 0], 0.5, out=other, casting="same_kind")
+        np.greater_equal(gap, 0, out=hit)
+        idx = np.flatnonzero(np.less(np.abs(gap, out=other), FILTER_GUARD, out=near))
+        hit[idx] = half_len * np.sin(math.pi * u[idx, 1]) >= 0.5 * u[idx, 0]
+        sums = [np.add.reduceat(hit, starts)]
+    # The counts are float32, summed in float32: they are integers of at most
+    # 64 (a squared total of 8), so a block's sums stay within 64 * _BLOCK =
+    # 2**22, below 2**24, and are exact.
+    return np.stack(sums, axis=1).astype(np.int64)
 
 
 def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
@@ -238,11 +262,7 @@ def estimate_pi_triangle(agg: TrialAggregate) -> EstimateSummary:
     is omitted (None) when the aggregate does not carry squared sums.
     """
     intersections = agg.intersections
-    if intersections == 0:
-        raise DegenerateSampleError(
-            f"no crossings in {agg.trials} trials; cannot estimate pi"
-        )
-    pi_estimate = 12.0 * agg.trials / intersections
+    pi_estimate = _pi_estimates(agg.trials, intersections, "triangle")
     standard_error = None
     se_rate = agg.crossing_rate_standard_error()
     if se_rate is not None:
@@ -267,13 +287,24 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
 
 def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
     """pi ~= 2 * ratio * trials / hits, with binomial error propagation."""
-    if agg.hits == 0:
-        raise DegenerateSampleError(f"no hits in {agg.trials} trials; cannot estimate pi")
-    pi_estimate = 2.0 * agg.ratio * agg.trials / agg.hits
+    pi_estimate = _pi_estimates(agg.trials, agg.hits, "needle", agg.ratio)
     p_hat = agg.hits / agg.trials
     se_p = math.sqrt(p_hat * (1.0 - p_hat) / agg.trials)
     standard_error = pi_estimate * se_p / p_hat
     return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
+
+
+def _pi_estimates(trials: int, counts, method: str, ratio: float = 1.0):
+    """pi from the crossings or hits ``counts`` (an int, or an array of runs) of ``trials`` casts each.
+
+    A zero count raises DegenerateSampleError, naming the first such run of an array.
+    """
+    zero = np.flatnonzero(np.equal(counts, 0))
+    if zero.size:
+        run = f"run {zero[0]}: " if np.ndim(counts) else ""
+        noun = "crossings" if method == "triangle" else "hits"
+        raise DegenerateSampleError(f"{run}no {noun} in {trials} trials; cannot estimate pi")
+    return (12.0 * trials if method == "triangle" else 2.0 * ratio * trials) / counts
 
 
 def tally_casts(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
@@ -403,8 +434,8 @@ class SplitRun:
                 raise
         return self
 
-    def join(self, head: TrialAggregate | NeedleAggregate | None = None) -> list:
-        """Each run's aggregate, in stream order: this process's share plus the pool's tasks.
+    def tallies(self, head: TrialAggregate | NeedleAggregate | None = None) -> np.ndarray:
+        """Each run's ``tally_casts`` row, in stream order: this process's share plus the pool's tasks.
 
         ``head`` is this process's share of a single run, drawn by the caller.
         """
@@ -423,9 +454,14 @@ class SplitRun:
             totals[0] = head.hits
         for streams, future in self._tasks:
             totals[streams.start - first : streams.stop - first] += future.result()
+        return totals
+
+    def join(self, head: TrialAggregate | NeedleAggregate | None = None) -> list:
+        """Each run's aggregate, in stream order, from its ``tallies``."""
+        totals = self.tallies(head).tolist()
         if self.method == "triangle":
-            return [TrialAggregate(self.trials, *t) for t in totals.tolist()]
-        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals.tolist()]
+            return [TrialAggregate(self.trials, *t) for t in totals]
+        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals]
 
     def __exit__(self, *exc_info) -> None:
         if self._pool is not None:
@@ -450,22 +486,15 @@ def run_batch(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     with SplitRun(trials, config, method, ratio=ratio, workers=workers, runs=runs) as batch:
-        aggregates = batch.join()
-    estimate = estimate_pi_triangle if method == "triangle" else estimate_pi_needle
-    estimates = []
-    for k, agg in enumerate(aggregates):
-        try:
-            estimates.append(estimate(agg).pi_estimate)
-        except DegenerateSampleError as exc:
-            raise DegenerateSampleError(f"run {k}: {exc}") from None
-    estimates = tuple(estimates)
-    values = np.asarray(estimates)
+        tallies = batch.tallies()
+    intersections = tallies[:, 0] + tallies[:, 1] if method == "triangle" else tallies[:, 0]
+    values = _pi_estimates(trials, intersections, method, ratio)
     counts, edges = np.histogram(values, bins=bins, range=(float(values.min()), float(values.max())))
     histogram = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
     )
     return BatchResult(
-        **vars(summarize(estimates)), runs=runs, trials_per_run=trials, estimates=estimates, histogram=histogram
+        **vars(summarize(values)), runs=runs, trials_per_run=trials, estimates=tuple(values.tolist()), histogram=histogram
     )
 
 
@@ -474,7 +503,7 @@ def summarize(estimates) -> SummaryStats:
 
     The stddev of a single value is reported as 0.0.
     """
-    values = np.asarray(list(estimates), dtype=np.float64)
+    values = np.asarray(estimates, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot summarize an empty list of estimates")
     mean = float(values.mean())

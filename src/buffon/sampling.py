@@ -101,12 +101,17 @@ def draw_casts(
     return cast_columns(rng.random(UNIFORMS_PER_CAST * m), spacing)
 
 
-def cast_columns(u, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The casts of the uniforms ``u``, three per cast, as ``draw_casts`` returns them."""
+def cast_columns(u: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The casts of the float64 uniforms ``u``, three per cast, built in place as views of ``u``."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    u = np.asarray(u, dtype=np.float64).reshape(-1, UNIFORMS_PER_CAST)
-    return TWO_PI * u[:, 0], spacing * u[:, 1], spacing * u[:, 2]
+    u = u.reshape(-1, UNIFORMS_PER_CAST)
+    u[:, 0] *= TWO_PI
+    # One column at a time: numpy walks a two-column slice several times slower.
+    if spacing != 1.0:
+        u[:, 1] *= spacing
+        u[:, 2] *= spacing
+    return u[:, 0], u[:, 1], u[:, 2]
 
 
 def sample_cast(rng: np.random.Generator, spacing: float) -> CastSample:

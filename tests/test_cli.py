@@ -371,6 +371,26 @@ sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers",
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--trials", "10"],
+        ["batch", "--runs", "2", "--trials", "10"],
+        ["render", "--images", "1"],
+        ["validate", "--mc-trials", "10"],
+    ])
+    def test_seed_outside_64_bits_is_usage_error(self, monkeypatch, tmp_path, capsys, command, seed):
+        # Rejected before any output or work: no seed line, no quadrature, no file.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(cli, "expected_crossings_quadrature", no_work)
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must lie in [0, 2**64), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 1
 

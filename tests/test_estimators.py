@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,7 @@ from buffon.estimators import (
     tally_casts,
 )
 from buffon.geometry import FILTER_GUARD, crossings_per_cast, filtered_crossings, make_triangle
-from buffon.sampling import UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
+from buffon.sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream, brute_force_tally
 
@@ -223,6 +225,16 @@ class TestRunBatch:
     def test_degenerate_run_reports_its_index(self):
         with pytest.raises(DegenerateSampleError, match="run 0"):
             run_batch(1, 1, RngConfig(0, 0), "needle", ratio=1e-9)
+
+    @pytest.mark.parametrize("method, seed, noun", [("triangle", 34, "crossings"), ("needle", 32, "hits")])
+    def test_first_degenerate_run_is_named(self, method, seed, noun):
+        # Runs of one cast: the first run with no crossings or hits, found run
+        # by run, is the one the batch error names.
+        first = next(k for k in range(1000) if not any(_straight_tallies(1, RngConfig(seed, k), method, 0.5)[:2]))
+        assert first > 0
+        with pytest.raises(DegenerateSampleError) as info:
+            run_batch(1000, 1, RngConfig(seed, 0), method, ratio=0.5)
+        assert str(info.value) == f"run {first}: no {noun} in 1 trials; cannot estimate pi"
 
     def test_flag_validation(self):
         with pytest.raises(ValueError):
@@ -424,6 +436,92 @@ class TestPackedRuns:
         sizes.clear()
         assert run_batch(40, 100, RngConfig(23, 0), workers=1) == packed
         assert sizes == [256] * 15 + [160]
+
+
+def _float64_rows(seed, streams, n, method, spacing=1.0):
+    """Each stream's tallies of its first n casts, counted cast by cast on the float64 path (needle ratio 0.5)."""
+    rows = []
+    for k in streams:
+        rng = RngConfig(seed, k).stream()
+        if method == "triangle":
+            rotation, offset_x, offset_y = draw_casts(rng, n, spacing)
+            v = make_triangle((0.0, 0.0), spacing, rotation)
+            count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
+            total = count_x + count_y
+            rows.append((int(count_x.sum()), int(count_y.sum()), int((total * total).sum())))
+        else:
+            u = rng.random(UNIFORMS_PER_DROP * n).reshape(-1, UNIFORMS_PER_DROP)
+            rows.append((int(np.count_nonzero(0.25 * np.sin(math.pi * u[:, 1]) >= 0.5 * u[:, 0])),))
+    return rows
+
+
+def _checked_kernel(rotation, offset_x, offset_y, spacing, out):
+    """``filtered_crossings``, with each cast's counts checked against the float64 path."""
+    count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y, spacing, out)
+    exact_x, exact_y = crossings_per_cast(make_triangle((0.0, 0.0), spacing, rotation), offset_x, offset_y, spacing)
+    assert np.array_equal(count_x, exact_x) and np.array_equal(count_y, exact_y)
+    return count_x, count_y, near
+
+
+class TestWorkspace:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(["triangle", "needle"]),
+        # Back-to-back calls of blocks of 256 casts: runs of 1-700 casts, so
+        # final blocks are short, packed and straddled, some on a wider grid.
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, (1 << 64) - 1), st.integers(1, 4), st.integers(1, 700), st.sampled_from([1.0, 3.7])
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    def test_back_to_back_calls_on_a_dirty_workspace(self, method, calls):
+        with mock.patch.object(estimators, "_BLOCK", 256), mock.patch.object(estimators, "filtered_crossings", _checked_kernel):
+            for seed, runs, n, spacing in calls:
+                # Whatever a call reads before writing it would be this garbage.
+                buffer, (scratch, near) = estimators._workspace(256)
+                for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
+                    array.fill(garbage)
+                if method == "triangle" and spacing != 1.0:
+                    agg = run_triangle_trials(n, RngConfig(seed, 0).stream(), spacing)
+                    rows = [(agg.count_x_total, agg.count_y_total, agg.total_sq_sum)]
+                    assert rows == _float64_rows(seed, range(1), n, method, spacing)
+                    continue
+                rows = [tuple(row) for row in tally_casts((seed, range(runs), 0, n, method, 0.5)).tolist()]
+                assert rows == [_straight_tallies(n, RngConfig(seed, k), method, 0.5) for k in range(runs)]
+                assert rows == _float64_rows(seed, range(runs), n, method)
+
+    def test_threads_do_not_share_a_workspace(self):
+        # Four threads, each counting its own streams in blocks of 256 casts;
+        # numpy releases the GIL inside the kernel, so a workspace shared
+        # between threads would mix their blocks and change the tallies.
+        calls = [(k, method) for k in range(4) for method in ("triangle", "needle")]
+        with mock.patch.object(estimators, "_BLOCK", 256):
+            expected = [tally_casts((9, range(k, k + 3), 0, 20_000, method, 0.5)).tolist() for k, method in calls]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(tally_casts, (9, range(k, k + 3), 0, 20_000, method, 0.5)) for k, method in calls]
+                got = [future.result(timeout=60).tolist() for future in futures]
+        assert got == expected
+
+    @pytest.mark.parametrize("task", [
+        (5, range(1), 0, 20 * estimators._BLOCK, "triangle", 1.0),
+        (5, range(200), 0, 5000, "triangle", 1.0),
+        (5, range(1), 0, 4_000_000, "needle", 0.5),
+    ], ids=["one-run-of-20-blocks", "200-runs-of-5000", "needle-4e6"])
+    def test_a_block_allocates_nothing_of_its_size_but_its_draw(self, task):
+        # tracemalloc sees numpy's data buffers.  After a warm-up call has made
+        # the workspace, a call holds at most one whole-block draw at a time.
+        uniforms = UNIFORMS_PER_CAST if task[4] == "triangle" else UNIFORMS_PER_DROP
+        tally_casts(task)
+        tracemalloc.start()
+        try:
+            tally_casts(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= uniforms * estimators._BLOCK * 8 + (1 << 18)
 
 
 class TestSummarize:
