@@ -9,10 +9,9 @@ from .errors import DegenerateSampleError
 from .estimators import (
     BatchResult,
     EstimateSummary,
-    NeedleAggregate,
     SplitRun,
     SummaryStats,
-    TrialAggregate,
+    Tally,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
@@ -47,11 +46,10 @@ __all__ = [
     "EstimateSummary",
     "GridSpec",
     "HistogramScene",
-    "NeedleAggregate",
     "RngConfig",
     "SplitRun",
     "SummaryStats",
-    "TrialAggregate",
+    "Tally",
     "TriangleSpec",
     "Viewport",
     "crossings_per_cast",

@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import DegenerateSampleError
 from .estimators import (
     SplitRun,
+    Tally,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
@@ -74,10 +75,15 @@ def _needle_ratio(args) -> float:
     return args.ratio
 
 
-def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int):
+def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int) -> Tally:
     """One run on stream 0.  This process draws its share of the casts straight
     from the start of the stream, as a one-worker run draws them all, while
-    ``workers - 1`` pool processes tally the rest."""
+    ``workers - 1`` pool processes tally the rest.
+
+    The share is drawn here, with the trial loop, so that the kernel call is a
+    step of the command itself: ``bench/layers.py`` traces the functions this
+    module calls and the streams it makes.
+    """
     config = RngConfig(seed, 0)
     with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
         if method == "triangle":
@@ -95,32 +101,21 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
-    agg = _run_stream_zero(args.trials, seed, args.method, ratio, args.workers)
-    if args.method == "triangle":
-        summary = estimate_pi_triangle(agg)
-        print(f"count_x = {agg.count_x_total}\tcount_x/trials = {agg.count_x_total / agg.trials:.6f}")
-        print(f"count_y = {agg.count_y_total}\tcount_y/trials = {agg.count_y_total / agg.trials:.6f}")
-        report = {
-            "method": "triangle",
-            "trials": agg.trials,
-            "seed": seed,
-            "count_x": agg.count_x_total,
-            "count_y": agg.count_y_total,
-            "pi_estimate": summary.pi_estimate,
-            "standard_error": summary.standard_error,
-        }
-    else:
-        summary = estimate_pi_needle(agg)
-        print(f"hits = {agg.hits}\thits/trials = {agg.hits / agg.trials:.6f}")
-        report = {
-            "method": "needle",
-            "trials": agg.trials,
-            "seed": seed,
-            "hits": agg.hits,
-            "ratio": ratio,
-            "pi_estimate": summary.pi_estimate,
-            "standard_error": summary.standard_error,
-        }
+    tally = _run_stream_zero(args.trials, seed, args.method, ratio, args.workers)
+    summary = (estimate_pi_triangle if args.method == "triangle" else estimate_pi_needle)(tally)
+    counts = tally.named_counts()
+    for name, count in counts.items():
+        print(f"{name} = {count}\t{name}/trials = {count / tally.trials:.6f}")
+    report = {
+        "method": args.method,
+        "trials": tally.trials,
+        "seed": seed,
+        **counts,
+        "pi_estimate": summary.pi_estimate,
+        "standard_error": summary.standard_error,
+    }
+    if args.method == "needle":
+        report["ratio"] = ratio
     print(f"pi estimate = {summary.pi_estimate:.6f}")
     if summary.standard_error is not None:
         print(f"standard error = {summary.standard_error:.6f}")
@@ -210,15 +205,16 @@ def cmd_validate(args) -> int:
     ok = gap < args.tolerance
     if args.mc_trials is not None:
         seed = _resolve_seed(args.seed)
-        agg = _run_stream_zero(args.mc_trials, seed, "triangle", 1.0, _usable_cpus())
-        mc_mean = agg.crossing_rate
-        se = agg.crossing_rate_standard_error()
-        print(f"monte carlo mean ({agg.trials} trials) = {mc_mean:.6f}")
+        tally = _run_stream_zero(args.mc_trials, seed, "triangle", 1.0, _usable_cpus())
+        mc_mean, se = tally.rate()
+        print(f"monte carlo mean ({tally.trials} trials) = {mc_mean:.6f}")
         if se:
             sigmas = abs(quadrature - mc_mean) / se
             print(f"monte carlo gap = {abs(quadrature - mc_mean):.6f} ({sigmas:.2f} standard errors)")
             ok = ok and sigmas < 3.0
         else:
+            why = "undefined for one trial" if se is None else "0, as every cast crossed as many lines"
+            print(f"monte carlo standard error is {why}, so the 3-sigma test cannot run")
             ok = False
     if ok:
         print(f"PASS (tolerance {args.tolerance})")

@@ -19,7 +19,8 @@ Runs are split into pool tasks.  ``tally_casts`` turns a task, casts
 generator re-keyed at each stream's first cast (see ``sampling``).  Tallies
 of one stream sum exactly, so no count, estimate or output byte depends on
 how runs are cut or packed, or on the worker count.  ``SplitRun`` is the one
-scheduler: it maps pool tasks over a process pool.
+scheduler: it maps pool tasks over a process pool and returns one row per
+run, which a ``Tally`` carries to the estimators.
 
 - ``estimate`` and the Monte Carlo leg of ``validate`` are a single run on
   stream 0: the calling process draws the head of the stream straight with
@@ -66,73 +67,64 @@ _local = threading.local()
 
 
 @dataclass(frozen=True)
-class TrialAggregate:
-    """Crossing totals over a block of triangle casts.
+class Tally:
+    """The integer counts of one run of ``trials`` casts.
 
-    ``total_sq_sum`` is the sum of squared per-cast crossing totals; it is
-    tracked by the trial runner so the estimator can attach a delta-method
-    standard error, and may be None for hand-built aggregates.
+    ``counts`` are ``(count_x, count_y, sq_sum)`` for the triangle, with
+    ``sq_sum`` the sum of squared per-cast crossing totals, and ``(hits,)``
+    for the needle of length ratio ``ratio``; a triangle tally's ratio is 1.
     """
 
+    method: str
     trials: int
-    count_x_total: int
-    count_y_total: int
-    total_sq_sum: int | None = None
+    counts: tuple[int, ...]
+    ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        if (self.method, len(self.counts)) not in (("triangle", 3), ("needle", 1)):
+            raise ValueError(f"a tally has 3 triangle counts or 1 needle count, got {self.method!r} {self.counts}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.count_x_total < 0 or self.count_y_total < 0:
-            raise ValueError("crossing totals cannot be negative")
-
-    @property
-    def intersections(self) -> int:
-        return self.count_x_total + self.count_y_total
-
-    @property
-    def crossing_rate(self) -> float:
-        """Mean crossings per cast."""
-        return self.intersections / self.trials
-
-    def crossing_rate_standard_error(self) -> float | None:
-        """Standard error of the mean per-cast total; None without squared sums."""
-        if self.total_sq_sum is None or self.trials < 2:
-            return None
-        mean_c = self.crossing_rate
-        var_c = (self.total_sq_sum / self.trials - mean_c * mean_c) * (
-            self.trials / (self.trials - 1)
-        )
-        return math.sqrt(max(var_c, 0.0) / self.trials)
-
-
-@dataclass(frozen=True)
-class NeedleAggregate:
-    """Hit count over a block of needle drops at length ratio ``ratio``."""
-
-    trials: int
-    hits: int
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.hits <= self.trials:
+        if min(self.counts) < 0:
+            raise ValueError("counts cannot be negative")
+        if self.method == "needle" and self.counts[0] > self.trials:
             raise ValueError("hits must lie in [0, trials]")
         if not 0 < self.ratio <= 1:
             raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
+        if self.method == "triangle" and self.ratio != 1:
+            raise ValueError(f"a triangle tally has no length ratio, got {self.ratio}")
+
+    @property
+    def intersections(self) -> int:
+        """The count pi is estimated from: crossings for the triangle, hits for the needle."""
+        return self.counts[0] + self.counts[1] if self.method == "triangle" else self.counts[0]
+
+    def named_counts(self) -> dict[str, int]:
+        """The counts a report shows, by name: ``count_x`` and ``count_y``, or ``hits``."""
+        if self.method == "triangle":
+            return {"count_x": self.counts[0], "count_y": self.counts[1]}
+        return {"hits": self.counts[0]}
+
+    def rate(self) -> tuple[float, float | None]:
+        """Mean crossings (or hits) per cast and its standard error, None for a single triangle cast.
+
+        The triangle's error is the sample standard deviation of per-cast
+        totals over sqrt(trials); the needle's is binomial.
+        """
+        n, mean = self.trials, self.intersections / self.trials
+        if self.method == "needle":
+            return mean, math.sqrt(mean * (1.0 - mean) / n)
+        if n < 2:
+            return mean, None
+        var = (self.counts[2] / n - mean * mean) * (n / (n - 1))
+        return mean, math.sqrt(max(var, 0.0) / n)
 
 
 @dataclass(frozen=True)
 class EstimateSummary:
-    """A pi estimate with its sample size and (when available) error bar.
-
-    ``intersections`` holds the crossing total for the triangle method and
-    the hit count for the needle baseline.
-    """
+    """A pi estimate and (when available) its standard error."""
 
     pi_estimate: float
-    trials: int
-    intersections: int
     standard_error: float | None
 
 
@@ -239,7 +231,7 @@ def _block_tallies(u, starts, triangle: bool, spacing: float, ratio: float, scra
     return np.stack(sums, axis=1).astype(np.int64)
 
 
-def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
+def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> Tally:
     """Cast a triangle of side ``spacing`` n times on a grid of that spacing and tally crossings.
 
     The triangle is centered at the origin; each cast draws a rotation and
@@ -251,26 +243,15 @@ def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> TrialAggregate:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    ((count_x, count_y, sq_sum),) = _tally_runs(rng, n, "triangle", spacing=spacing).tolist()
-    return TrialAggregate(n, count_x, count_y, sq_sum)
+    return Tally("triangle", n, tuple(_tally_runs(rng, n, "triangle", spacing=spacing)[0].tolist()))
 
 
-def estimate_pi_triangle(agg: TrialAggregate) -> EstimateSummary:
-    """pi ~= 12 * trials / crossings, with a delta-method standard error.
-
-    The error bar uses the sample standard deviation of per-cast totals and
-    is omitted (None) when the aggregate does not carry squared sums.
-    """
-    intersections = agg.intersections
-    pi_estimate = _pi_estimates(agg.trials, intersections, "triangle")
-    standard_error = None
-    se_rate = agg.crossing_rate_standard_error()
-    if se_rate is not None:
-        standard_error = pi_estimate * se_rate / agg.crossing_rate
-    return EstimateSummary(pi_estimate, agg.trials, intersections, standard_error)
+def estimate_pi_triangle(tally: Tally) -> EstimateSummary:
+    """pi ~= 12 * trials / crossings, with a delta-method standard error (None for a single cast)."""
+    return _summary(tally, "triangle")
 
 
-def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
+def run_needle_trials(n: int, rng, ratio: float = 1.0) -> Tally:
     """Drop a needle of length ``ratio`` n times on unit-spaced lines.
 
     Per trial, in order: distance from needle center to the nearest line,
@@ -282,16 +263,22 @@ def run_needle_trials(n: int, rng, ratio: float = 1.0) -> NeedleAggregate:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    return NeedleAggregate(n, int(_tally_runs(rng, n, "needle", ratio=ratio)[0, 0]), ratio)
+    return Tally("needle", n, tuple(_tally_runs(rng, n, "needle", ratio=ratio)[0].tolist()), ratio)
 
 
-def estimate_pi_needle(agg: NeedleAggregate) -> EstimateSummary:
+def estimate_pi_needle(tally: Tally) -> EstimateSummary:
     """pi ~= 2 * ratio * trials / hits, with binomial error propagation."""
-    pi_estimate = _pi_estimates(agg.trials, agg.hits, "needle", agg.ratio)
-    p_hat = agg.hits / agg.trials
-    se_p = math.sqrt(p_hat * (1.0 - p_hat) / agg.trials)
-    standard_error = pi_estimate * se_p / p_hat
-    return EstimateSummary(pi_estimate, agg.trials, agg.hits, standard_error)
+    return _summary(tally, "needle")
+
+
+def _summary(tally: Tally, method: str) -> EstimateSummary:
+    """The pi estimate of a ``method`` tally, its error propagated from ``Tally.rate``."""
+    if tally.method != method:
+        raise ValueError(f"expected a {method} tally, got a {tally.method} one")
+    pi_estimate = _pi_estimates(tally.trials, tally.intersections, method, tally.ratio)
+    rate, se_rate = tally.rate()
+    standard_error = None if se_rate is None else pi_estimate * se_rate / rate
+    return EstimateSummary(pi_estimate, standard_error)
 
 
 def _pi_estimates(trials: int, counts, method: str, ratio: float = 1.0):
@@ -366,13 +353,13 @@ class SplitRun:
 
     Only a single run gives this process a head, its first ``head`` casts
     (about a ``1/workers`` share), while ``workers - 1`` pool processes tally
-    the rest.  The caller may draw the head from ``config.stream()`` with the
-    trial loop and hand its aggregate to ``join``; ``join()`` tallies it
-    itself.  At one worker every run is all head, as is a single run of at
-    most one block, and no pool starts::
+    the rest.  ``join()`` tallies the head itself; a caller that draws it from
+    ``config.stream()`` with the trial loop hands its tally to ``join``.  At
+    one worker every run is all head, as is a single run of at most one
+    block, and no pool starts::
 
         with SplitRun(trials, config, workers=workers) as run:
-            (agg,) = run.join(run_triangle_trials(run.head, config.stream()))
+            (tally,) = run.join()
 
     Leaving the block, on an error or Ctrl-C too, drops the queued tasks and
     waits only for the running ones.
@@ -396,7 +383,9 @@ class SplitRun:
             raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.trials, self.runs, self.config, self.method, self.ratio = trials, runs, config, method, ratio
+        # The triangle has no length ratio.
+        self.ratio = ratio if method == "needle" else 1.0
+        self.trials, self.runs, self.config, self.method = trials, runs, config, method
         if workers == 1:
             self.head = trials
         elif runs == 1:
@@ -434,7 +423,7 @@ class SplitRun:
                 raise
         return self
 
-    def tallies(self, head: TrialAggregate | NeedleAggregate | None = None) -> np.ndarray:
+    def tallies(self, head: Tally | None = None) -> np.ndarray:
         """Each run's ``tally_casts`` row, in stream order: this process's share plus the pool's tasks.
 
         ``head`` is this process's share of a single run, drawn by the caller.
@@ -444,24 +433,20 @@ class SplitRun:
         if head is None:
             if self.head:
                 totals += tally_casts((seed, range(first, first + self.runs), 0, self.head, self.method, self.ratio))
-        elif self.runs != 1 or head.trials != self.head:
+        elif self.runs != 1 or (head.method, head.trials, head.ratio) != (self.method, self.head, self.ratio):
             raise ValueError(
-                f"join takes the head of a single run, {self.head} casts; got {head.trials} with runs = {self.runs}"
+                f"join takes the head of a single run, {self.head} casts of the {self.method}; "
+                f"got {head.trials} of the {head.method} with runs = {self.runs}"
             )
-        elif self.method == "triangle":
-            totals[0] = head.count_x_total, head.count_y_total, head.total_sq_sum
         else:
-            totals[0] = head.hits
+            totals[0] = head.counts
         for streams, future in self._tasks:
             totals[streams.start - first : streams.stop - first] += future.result()
         return totals
 
-    def join(self, head: TrialAggregate | NeedleAggregate | None = None) -> list:
-        """Each run's aggregate, in stream order, from its ``tallies``."""
-        totals = self.tallies(head).tolist()
-        if self.method == "triangle":
-            return [TrialAggregate(self.trials, *t) for t in totals]
-        return [NeedleAggregate(self.trials, t[0], self.ratio) for t in totals]
+    def join(self, head: Tally | None = None) -> list[Tally]:
+        """Each run's ``Tally``, in stream order, from its ``tallies``."""
+        return [Tally(self.method, self.trials, tuple(t), self.ratio) for t in self.tallies(head).tolist()]
 
     def __exit__(self, *exc_info) -> None:
         if self._pool is not None:

@@ -71,9 +71,8 @@ def test_criterion_3_constant_validation():
     target = 12.0 / PI
     quadrature = expected_crossings_quadrature(360, 200)
     closed = expected_crossings_closed_form(1.0, 1.0)
-    agg = run_triangle_trials(10_000_000, RngConfig(SEED, 0).stream())
-    mc_mean = agg.crossing_rate
-    sigmas = abs(quadrature - mc_mean) / agg.crossing_rate_standard_error()
+    mc_mean, standard_error = run_triangle_trials(10_000_000, RngConfig(SEED, 0).stream()).rate()
+    sigmas = abs(quadrature - mc_mean) / standard_error
     ok = abs(quadrature - target) < 1e-3 and abs(quadrature - closed) < 1e-3 and sigmas < 3.0
     _verdict(
         "3 crossing-rate constant", ok,
@@ -83,10 +82,10 @@ def test_criterion_3_constant_validation():
 
 
 def test_criterion_4_needle_baseline():
-    agg = run_needle_trials(1_000_000, RngConfig(SEED, 0).stream(), 1.0)
-    rate = agg.hits / agg.trials
+    tally = run_needle_trials(1_000_000, RngConfig(SEED, 0).stream(), 1.0)
+    rate = tally.counts[0] / tally.trials
     rate_gap = abs(rate - 2.0 / PI)
-    estimate = estimate_pi_needle(agg).pi_estimate
+    estimate = estimate_pi_needle(tally).pi_estimate
     estimate_gap = abs(estimate - PI)
     _verdict(
         "4 needle baseline", rate_gap < 0.002 and estimate_gap < 0.01,

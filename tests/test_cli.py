@@ -239,6 +239,20 @@ class TestValidateCommand:
     def test_tight_tolerance_fails(self):
         assert main(["validate", "--resolution", "16", "--tolerance", "1e-6"]) == 2
 
+    @pytest.mark.parametrize("trials, why", [
+        ("1", "undefined for one trial"),
+        ("2", "0, as every cast crossed as many lines"),
+    ])
+    def test_monte_carlo_leg_without_a_standard_error_says_why_it_fails(self, capsys, trials, why):
+        # At seed 1 the one cast, and both of two casts, cross four lines.
+        assert main(["validate", "--resolution", "8", "--tolerance", "0.1", "--mc-trials", trials, "--seed", "1"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == [
+            f"monte carlo mean ({trials} trials) = 4.000000",
+            f"monte carlo standard error is {why}, so the 3-sigma test cannot run",
+            "FAIL (tolerance 0.1)",
+        ]
+
     def test_monte_carlo_leg(self, capsys):
         rc = main(["validate", "--mc-trials", "200000", "--seed", "2"])
         assert rc == 0

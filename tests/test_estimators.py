@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -11,13 +14,11 @@ from hypothesis import strategies as st
 import buffon.estimators as estimators
 from buffon.errors import DegenerateSampleError
 from buffon.estimators import (
-    BatchResult,
-    NeedleAggregate,
-    TrialAggregate,
-    estimate_pi_needle,
-    estimate_pi_triangle,
     SplitRun,
     SummaryStats,
+    Tally,
+    estimate_pi_needle,
+    estimate_pi_triangle,
     run_batch,
     run_needle_trials,
     run_triangle_trials,
@@ -45,33 +46,32 @@ def _scalar_triangle_totals(n, rng):
 
 class TestRunTriangleTrials:
     def test_forced_cast_matches_worked_example(self):
-        agg = run_triangle_trials(1, StubStream([0.0, 0.0, 0.25]))
-        assert agg == TrialAggregate(1, 2, 2, total_sq_sum=16)
+        tally = run_triangle_trials(1, StubStream([0.0, 0.0, 0.25]))
+        assert tally == Tally("triangle", 1, (2, 2, 16))
 
     def test_crossing_rate_converges(self):
-        agg = run_triangle_trials(1_000_000, RngConfig(3, 0).stream())
-        assert abs(agg.intersections / agg.trials - 12 / math.pi) < 0.02
-        assert abs(agg.count_x_total / agg.trials - 6 / math.pi) < 0.02
-        assert abs(agg.count_y_total / agg.trials - 6 / math.pi) < 0.02
+        tally = run_triangle_trials(1_000_000, RngConfig(3, 0).stream())
+        count_x, count_y, _ = tally.counts
+        assert abs(tally.intersections / tally.trials - 12 / math.pi) < 0.02
+        assert abs(count_x / tally.trials - 6 / math.pi) < 0.02
+        assert abs(count_y / tally.trials - 6 / math.pi) < 0.02
 
     @pytest.mark.parametrize("n", [1, 2, 3, 257, 2500])
     def test_blocked_run_equals_scalar_loop(self, n):
-        agg = run_triangle_trials(n, RngConfig(60, n).stream())
-        expected = _scalar_triangle_totals(n, RngConfig(60, n).stream())
-        assert (agg.count_x_total, agg.count_y_total, agg.total_sq_sum) == expected
+        tally = run_triangle_trials(n, RngConfig(60, n).stream())
+        assert tally.counts == _scalar_triangle_totals(n, RngConfig(60, n).stream())
 
     @pytest.mark.parametrize("spacing", [1.0, 3.7])
     def test_tallies_equal_the_float64_path(self, spacing):
         # Four blocks and a tail through the float32 filter, against one
         # float64 pass over the same casts.
         for seed in (0, 1, 42):
-            agg = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing)
+            tally = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing)
             rotation, offset_x, offset_y = draw_casts(RngConfig(seed, 0).stream(), 300_000, spacing)
             v = make_triangle((0.0, 0.0), spacing, rotation)
             count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
             total = count_x + count_y
-            expected = (int(count_x.sum()), int(count_y.sum()), int(np.dot(total, total)))
-            assert (agg.count_x_total, agg.count_y_total, agg.total_sq_sum) == expected
+            assert tally.counts == (int(count_x.sum()), int(count_y.sum()), int(np.dot(total, total)))
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         whole = run_triangle_trials(600, RngConfig(61, 0).stream())
@@ -86,66 +86,84 @@ class TestRunTriangleTrials:
 
 class TestEstimatePiTriangle:
     def test_million_trial_arithmetic(self):
-        agg = TrialAggregate(1_000_000, 1_909_860, 1_909_859)
-        summary = estimate_pi_triangle(agg)
+        tally = Tally("triangle", 1_000_000, (1_909_860, 1_909_859, 15_000_000))
+        summary = estimate_pi_triangle(tally)
         assert summary.pi_estimate == pytest.approx(12e6 / 3_819_719, rel=1e-15)
         assert f"{summary.pi_estimate:.6f}" == "3.141592"
-        assert summary.standard_error is None  # no squared sums tracked
+        assert summary.standard_error > 0
 
     def test_single_trial_arithmetic(self):
-        summary = estimate_pi_triangle(TrialAggregate(1, 2, 2, total_sq_sum=16))
+        tally = Tally("triangle", 1, (2, 2, 16))
+        summary = estimate_pi_triangle(tally)
         assert summary.pi_estimate == 3.0
-        assert summary.intersections == 4
+        assert tally.intersections == 4
+        assert summary.standard_error is None  # no spread in a single cast
 
     def test_zero_intersections_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            estimate_pi_triangle(TrialAggregate(1, 0, 0))
+            estimate_pi_triangle(Tally("triangle", 1, (0, 0, 0)))
 
     def test_delta_method_standard_error(self):
         # per-cast totals [2, 4, 0, 2]: mean 2, unbiased variance 8/3
-        agg = TrialAggregate(4, 5, 3, total_sq_sum=24)
-        summary = estimate_pi_triangle(agg)
+        tally = Tally("triangle", 4, (5, 3, 24))
+        summary = estimate_pi_triangle(tally)
         pi_est = 12.0 * 4 / 8
         expected_se = pi_est * math.sqrt(8 / 3) / (2.0 * math.sqrt(4))
         assert summary.pi_estimate == pi_est
         assert summary.standard_error == pytest.approx(expected_se, rel=1e-12)
 
     def test_aggregate_validation(self):
-        with pytest.raises(ValueError):
-            TrialAggregate(0, 0, 0)
-        with pytest.raises(ValueError):
-            TrialAggregate(1, -1, 0)
+        for args in [
+            ("triangle", 0, (0, 0, 0)),  # no trials
+            ("triangle", 1, (-1, 0, 0)),  # a negative count
+            ("triangle", 1, (2, 2)),  # no squared sums
+            ("needle", 1, (1, 0)),  # a needle has one count
+            ("coin", 1, (1,)),
+            ("needle", 3, (4,)),  # more hits than drops
+            ("needle", 3, (-1,)),
+            ("triangle", 4, (5, 3, 24), 0.5),  # a triangle has no length ratio
+        ]:
+            with pytest.raises(ValueError):
+                Tally(*args)
+        for ratio in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                Tally("needle", 3, (1,), ratio)
+        # Each estimator takes only its own method's tally.
+        with pytest.raises(ValueError, match="expected a triangle tally"):
+            estimate_pi_triangle(Tally("needle", 2, (1,)))
+        with pytest.raises(ValueError, match="expected a needle tally"):
+            estimate_pi_needle(Tally("triangle", 4, (5, 3, 24)))
 
     def test_crossing_rate_helpers(self):
-        agg = TrialAggregate(4, 5, 3, total_sq_sum=24)
-        assert agg.crossing_rate == 2.0
-        assert agg.crossing_rate_standard_error() == pytest.approx(
-            math.sqrt((8 / 3) / 4), rel=1e-12
-        )
-        assert TrialAggregate(4, 5, 3).crossing_rate_standard_error() is None
-        assert TrialAggregate(1, 2, 2, total_sq_sum=16).crossing_rate_standard_error() is None
+        rate, standard_error = Tally("triangle", 4, (5, 3, 24)).rate()
+        assert rate == 2.0
+        assert standard_error == pytest.approx(math.sqrt((8 / 3) / 4), rel=1e-12)
+        assert Tally("triangle", 1, (2, 2, 16)).rate() == (4.0, None)
+        # Every cast crossed as many lines: no spread, a zero error.
+        assert Tally("triangle", 3, (6, 6, 48)).rate() == (4.0, 0.0)
+        assert Tally("needle", 100, (64,)).rate() == (0.64, math.sqrt(0.64 * 0.36 / 100))
 
 
 class TestRunNeedleTrials:
     def test_hit_rate_full_length(self):
-        agg = run_needle_trials(1_000_000, RngConfig(4, 0).stream(), 1.0)
-        assert abs(agg.hits / agg.trials - 2 / math.pi) < 0.002
+        tally = run_needle_trials(1_000_000, RngConfig(4, 0).stream(), 1.0)
+        assert abs(tally.rate()[0] - 2 / math.pi) < 0.002
 
     def test_hit_rate_half_length(self):
-        agg = run_needle_trials(1_000_000, RngConfig(4, 1).stream(), 0.5)
-        assert abs(agg.hits / agg.trials - 1 / math.pi) < 0.002
+        tally = run_needle_trials(1_000_000, RngConfig(4, 1).stream(), 0.5)
+        assert abs(tally.rate()[0] - 1 / math.pi) < 0.002
 
     def test_flat_angle_only_hits_at_zero_distance(self):
         # angle 0 makes sin(angle) = 0, so only distance 0 can hit
-        assert run_needle_trials(1, StubStream([0.3, 0.0]), 1.0).hits == 0
-        assert run_needle_trials(1, StubStream([0.0, 0.0]), 1.0).hits == 1
+        assert run_needle_trials(1, StubStream([0.3, 0.0]), 1.0).counts == (0,)
+        assert run_needle_trials(1, StubStream([0.0, 0.0]), 1.0).counts == (1,)
 
     @pytest.mark.parametrize("ratio", [0.5, 1.0])
     def test_hits_equal_the_float64_path(self, ratio):
         for seed in (1, 2):
-            agg = run_needle_trials(1_000_000, RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP), ratio)
+            tally = run_needle_trials(1_000_000, RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP), ratio)
             u = RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP).random(2_000_000).reshape(-1, 2)
-            assert agg.hits == int(np.count_nonzero(ratio / 2 * np.sin(math.pi * u[:, 1]) >= 0.5 * u[:, 0]))
+            assert tally.counts == (int(np.count_nonzero(ratio / 2 * np.sin(math.pi * u[:, 1]) >= 0.5 * u[:, 0])),)
 
     @given(
         angle=st.floats(0.0, 1.0, exclude_max=True),
@@ -158,7 +176,7 @@ class TestRunNeedleTrials:
         reach = float(ratio / 2 * np.sin(np.array([math.pi * angle]))[0])
         distance = 2.0 * (reach + shift)
         assume(0.0 <= distance < 1.0)
-        assert run_needle_trials(1, StubStream([distance, angle]), ratio).hits == int(reach >= 0.5 * distance)
+        assert run_needle_trials(1, StubStream([distance, angle]), ratio).counts == (int(reach >= 0.5 * distance),)
 
     @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
     def test_rejects_bad_ratio(self, ratio):
@@ -172,19 +190,18 @@ class TestRunNeedleTrials:
 
 class TestEstimatePiNeedle:
     def test_million_trial_arithmetic(self):
-        summary = estimate_pi_needle(NeedleAggregate(1_000_000, 636_620, 1.0))
+        summary = estimate_pi_needle(Tally("needle", 1_000_000, (636_620,)))
         assert summary.pi_estimate == pytest.approx(2e6 / 636_620, rel=1e-15)
 
     def test_two_trials(self):
-        assert estimate_pi_needle(NeedleAggregate(2, 1, 1.0)).pi_estimate == 4.0
+        assert estimate_pi_needle(Tally("needle", 2, (1,))).pi_estimate == 4.0
 
     def test_zero_hits_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            estimate_pi_needle(NeedleAggregate(5, 0, 1.0))
+            estimate_pi_needle(Tally("needle", 5, (0,)))
 
     def test_binomial_error_propagation(self):
-        agg = NeedleAggregate(100, 64, 1.0)
-        summary = estimate_pi_needle(agg)
+        summary = estimate_pi_needle(Tally("needle", 100, (64,)))
         p = 0.64
         se_p = math.sqrt(p * (1 - p) / 100)
         assert summary.standard_error == pytest.approx((2.0 / p) * se_p / p, rel=1e-12)
@@ -204,8 +221,8 @@ class TestRunBatch:
     def test_each_run_uses_its_stream(self):
         result = run_batch(3, 5000, RngConfig(15, 0))
         for k in range(3):
-            agg = run_triangle_trials(5000, RngConfig(15, k).stream())
-            assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+            tally = run_triangle_trials(5000, RngConfig(15, k).stream())
+            assert result.estimates[k] == estimate_pi_triangle(tally).pi_estimate
 
     def test_histogram_counts_and_mean(self):
         result = run_batch(50, 1000, RngConfig(16, 0), bins=12)
@@ -255,9 +272,8 @@ class TestRunBatch:
 def _straight_tallies(n, config, method, ratio):
     """The tallies of one unsplit pass over the stream."""
     if method == "triangle":
-        agg = run_triangle_trials(n, config.stream())
-        return agg.count_x_total, agg.count_y_total, agg.total_sq_sum
-    return (run_needle_trials(n, config.stream(), ratio).hits,)
+        return run_triangle_trials(n, config.stream()).counts
+    return run_needle_trials(n, config.stream(), ratio).counts
 
 
 def _count_unit(task):
@@ -301,13 +317,15 @@ class TestChunkedRuns:
             tally_casts((1, range(1), start, 10, method, 0.5))
 
     @staticmethod
-    def _split_run(trials, config, method, ratio, workers):
+    def _split_run(trials, config, method, ratio, workers, draw_head):
         with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
-            if method == "triangle":
-                (agg,) = run.join(run_triangle_trials(run.head, config.stream()))
+            if not draw_head:
+                (tally,) = run.join()
+            elif method == "triangle":
+                (tally,) = run.join(run_triangle_trials(run.head, config.stream()))
             else:
-                (agg,) = run.join(run_needle_trials(run.head, config.stream(), ratio))
-        return agg
+                (tally,) = run.join(run_needle_trials(run.head, config.stream(), ratio))
+        return tally
 
     @pytest.mark.parametrize("window", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -316,17 +334,15 @@ class TestChunkedRuns:
         # Blocks and pool units of 256 casts: at 2 workers this process draws 512
         # of the 1029 casts and the pool three units (256, 256 and a tail of 5);
         # at 3 workers it draws 256 and the pool four.  A window of 2 units
-        # doubles the unit size instead.
+        # doubles the unit size instead.  The head is drawn by the caller, as
+        # the CLI does, or tallied by ``join()``.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_TASK_CASTS", 256)
         monkeypatch.setattr(estimators, "_WINDOW_UNITS", window)
         config = RngConfig(19, 4)
-        agg = self._split_run(1029, config, method, 0.5, workers)
-        expected = _straight_tallies(1029, config, method, 0.5)
-        if method == "triangle":
-            assert agg == TrialAggregate(1029, *expected)
-        else:
-            assert agg == NeedleAggregate(1029, expected[0], 0.5)
+        expected = Tally(method, 1029, _straight_tallies(1029, config, method, 0.5), 0.5 if method == "needle" else 1.0)
+        for draw_head in (True, False):
+            assert self._split_run(1029, config, method, 0.5, workers, draw_head) == expected
 
     @pytest.mark.parametrize("trials, workers, head", [
         (1000, 4, 1000), (65536, 2, 65536), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
@@ -349,8 +365,8 @@ class TestChunkedRuns:
             result = run_batch(runs, 1000, RngConfig(20, 0), workers=2)
             assert len(submitted) == tasks
             for k in range(runs):
-                agg = run_triangle_trials(1000, RngConfig(20, k).stream())
-                assert result.estimates[k] == estimate_pi_triangle(agg).pi_estimate
+                tally = run_triangle_trials(1000, RngConfig(20, k).stream())
+                assert result.estimates[k] == estimate_pi_triangle(tally).pi_estimate
 
     @pytest.mark.parametrize("workers, tasks", [(2, 8), (3, 10)])
     def test_short_runs_go_whole_about_four_tasks_per_worker(self, monkeypatch, workers, tasks):
@@ -367,10 +383,11 @@ class TestChunkedRuns:
         # tallies (1, its casts, 0) per stream, so the join counts units and casts.
         monkeypatch.setattr(estimators, "tally_casts", _count_unit)
         with SplitRun(10**10, RngConfig(1, 0), workers=2) as run:
-            (agg,) = run.join(TrialAggregate(run.head, 0, 0, 0))
-        assert agg.trials == 10**10
-        assert agg.count_y_total == 10**10 - run.head
-        assert 2000 < agg.count_x_total <= estimators._WINDOW_UNITS
+            (tally,) = run.join(Tally("triangle", run.head, (0, 0, 0)))
+        count_x, count_y, _ = tally.counts
+        assert tally.trials == 10**10
+        assert count_y == 10**10 - run.head
+        assert 2000 < count_x <= estimators._WINDOW_UNITS
 
     def test_split_run_validation(self):
         for args, kwargs in [
@@ -385,6 +402,12 @@ class TestChunkedRuns:
         with SplitRun(10, RngConfig(1, 0)) as run:
             with pytest.raises(ValueError, match="head of a single run, 10 casts"):
                 run.join(run_triangle_trials(9, RngConfig(1, 0).stream()))
+            # The head must be a tally of the run's own method and ratio.
+            with pytest.raises(ValueError, match="got 10 of the needle"):
+                run.join(run_needle_trials(10, RngConfig(1, 0).stream()))
+        with SplitRun(10, RngConfig(1, 0), "needle", ratio=0.5) as run:
+            with pytest.raises(ValueError, match="head of a single run"):
+                run.join(run_needle_trials(10, RngConfig(1, 0).stream(), 1.0))
         # Only a single run takes a head; a batch's join tallies this process's share.
         with SplitRun(10, RngConfig(1, 0), runs=2) as run:
             with pytest.raises(ValueError, match="runs = 2"):
@@ -392,6 +415,39 @@ class TestChunkedRuns:
             assert run.join() == [
                 run_triangle_trials(10, RngConfig(1, k).stream()) for k in (0, 1)
             ]
+
+    @pytest.mark.parametrize("drawn_by", ["join", "caller"])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, tmp_path, error, drawn_by):
+        # Forty blocks at two workers: this process's head of twenty, and twenty
+        # one-block tasks for a pool of one process.  A pool task notes that it
+        # ran and takes half a second; the head raises at once, in ``join()``'s
+        # own tally or in the caller's block.  The error comes out, no pool
+        # process is left, and no queued task runs: only the one the worker had
+        # taken and the two the pool had handed to its call queue can have run.
+        monkeypatch.setattr(estimators, "_TASK_CASTS", estimators._BLOCK)
+        parent, ran = os.getpid(), tmp_path / "ran"
+
+        def stand_in(task):
+            if os.getpid() == parent:
+                raise error
+            with open(ran, "a") as f:
+                f.write(f"{task[2]}\n")
+            time.sleep(0.5)
+            return [(0, 0, 0)] * len(task[1])
+
+        monkeypatch.setattr(estimators, "tally_casts", stand_in)
+        submitted = _record_tasks(monkeypatch)
+        started = time.monotonic()
+        with pytest.raises(error):
+            with SplitRun(40 * estimators._BLOCK, RngConfig(1, 0), workers=2) as run:
+                if drawn_by == "caller":
+                    raise error
+                run.join()
+        assert time.monotonic() - started < 5
+        assert multiprocessing.active_children() == []
+        assert len(submitted) == 20
+        assert len(ran.read_text().split() if ran.exists() else []) <= 3
 
 
 class TestPackedRuns:
@@ -485,8 +541,7 @@ class TestWorkspace:
                 for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
                     array.fill(garbage)
                 if method == "triangle" and spacing != 1.0:
-                    agg = run_triangle_trials(n, RngConfig(seed, 0).stream(), spacing)
-                    rows = [(agg.count_x_total, agg.count_y_total, agg.total_sq_sum)]
+                    rows = [run_triangle_trials(n, RngConfig(seed, 0).stream(), spacing).counts]
                     assert rows == _float64_rows(seed, range(1), n, method, spacing)
                     continue
                 rows = [tuple(row) for row in tally_casts((seed, range(runs), 0, n, method, 0.5)).tolist()]

@@ -21,10 +21,10 @@ SEEDS = 100
 def test_crossing_rate_unbiased_and_estimators_consistent():
     unbiased = triangle_ok = needle_ok = 0
     for seed in range(SEEDS):
-        agg = run_triangle_trials(TRIALS, RngConfig(seed, 0).stream())
-        stderr = agg.crossing_rate_standard_error()
-        unbiased += abs(agg.crossing_rate - 12 / math.pi) < 5 * stderr
-        triangle_ok += abs(estimate_pi_triangle(agg).pi_estimate - math.pi) < 0.01
+        tally = run_triangle_trials(TRIALS, RngConfig(seed, 0).stream())
+        rate, stderr = tally.rate()
+        unbiased += abs(rate - 12 / math.pi) < 5 * stderr
+        triangle_ok += abs(estimate_pi_triangle(tally).pi_estimate - math.pi) < 0.01
 
         needle = run_needle_trials(TRIALS, RngConfig(seed, 1).stream())
         needle_ok += abs(estimate_pi_needle(needle).pi_estimate - math.pi) < 0.01

@@ -119,5 +119,5 @@ class TestThreeWayAgreement:
 
     def test_quadrature_against_monte_carlo(self):
         quadrature = expected_crossings_quadrature(360, 200)
-        agg = run_triangle_trials(1_000_000, RngConfig(5, 0).stream())
-        assert abs(quadrature - agg.intersections / agg.trials) < 0.01
+        tally = run_triangle_trials(1_000_000, RngConfig(5, 0).stream())
+        assert abs(quadrature - tally.intersections / tally.trials) < 0.01
