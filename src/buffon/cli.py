@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, WorkerDiedError
 from .estimators import (
     SplitRun,
     Tally,
+    _usable_cpus,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
@@ -44,19 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(value: int | None) -> int:
     if value is None:
-        value = secrets.randbits(64)
+        value = int.from_bytes(os.urandom(8), "little")
         print(f"seed = {value} (generated)")
     else:
         print(f"seed = {value}")
     return value
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; the CPU count where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _check_workers(workers: int) -> None:
@@ -78,7 +69,7 @@ def _needle_ratio(args) -> float:
 def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int) -> Tally:
     """One run on stream 0.  This process draws its share of the casts straight
     from the start of the stream, as a one-worker run draws them all, while
-    ``workers - 1`` pool processes tally the rest.
+    ``workers - 1`` child processes tally the rest.
 
     The share is drawn here, with the trial loop, so that the kernel call is a
     step of the command itself: ``bench/layers.py`` traces the functions this
@@ -226,6 +217,7 @@ def cmd_validate(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="buffon", description="Monte Carlo pi estimation by casting shapes on a grid")
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = "worker processes (default: usable CPUs; at most one child process per usable CPU starts)"
 
     p = sub.add_parser("estimate", help="single run: cast and print the pi estimate")
     p.add_argument("--method", choices=("triangle", "needle"), default="triangle")
@@ -233,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed; generated and printed if omitted")
     p.add_argument("--ratio", type=float, default=None, help="needle length / line spacing (needle only, default 1)")
     p.add_argument("--json", default=None, metavar="PATH", help="write a JSON report")
-    p.add_argument("--workers", type=int, default=_usable_cpus(), help="worker processes (default: usable CPUs)")
+    p.add_argument("--workers", type=int, default=_usable_cpus(), help=workers_help)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("batch", help="many runs on independent streams, with histogram")
@@ -245,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=40, help="histogram bin count")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-run estimates")
     p.add_argument("--svg", default=None, metavar="PATH", help="write the histogram figure")
-    p.add_argument("--workers", type=int, default=_usable_cpus(), help="worker processes (default: usable CPUs)")
+    p.add_argument("--workers", type=int, default=_usable_cpus(), help=workers_help)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("render", help="write SVG snapshots of the first casts of a stream")
@@ -278,14 +270,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (DegenerateSampleError, OSError) as exc:
+    except (DegenerateSampleError, WorkerDiedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return _FAILURE_EXIT
-    except BrokenProcessPool as exc:
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Trial loops, one scheduler that splits runs over a process pool, and cross-run statistics.
+"""Trial loops, one scheduler that splits runs over forked worker processes, and cross-run statistics.
 
 One trial loop, ``_tally_runs``, serves every caller.  It fills blocks of
 ``_BLOCK`` casts with consecutive pieces, whole short runs or stretches of
@@ -13,36 +13,34 @@ The loop runs in one workspace per process (per thread), so a block
 allocates nothing of its size but a piece that fills it: fresh block-sized
 temporaries cost up to 11.5k page faults per 1e6 casts, against ~100 now.
 
-Runs are split into pool tasks.  ``tally_casts`` turns a task, casts
+Runs are split into tasks.  ``tally_casts`` turns a task, casts
 ``start .. start + n - 1`` of a range of streams with ``start`` a multiple of
 ``_BLOCK``, into integer tallies, one row per stream, drawing from one
 generator re-keyed at each stream's first cast (see ``sampling``).  Tallies
 of one stream sum exactly, so no count, estimate or output byte depends on
 how runs are cut or packed, or on the worker count.  ``SplitRun`` is the one
-scheduler: it maps pool tasks over a process pool and returns one row per
-run, which a ``Tally`` carries to the estimators.
+scheduler.  A worker's whole result is a few int64 rows, so its workers are
+forked with ``os.fork`` and return them over pipes, with no executor, queue
+or pickling to start or import; a ``Tally`` carries each run's row onward.
 
 - ``estimate`` and the Monte Carlo leg of ``validate`` are a single run on
-  stream 0: the calling process draws the head of the stream straight with
-  the trial loop, rather than wait, while ``workers - 1`` pool processes
-  tally the rest.
-- ``run_batch`` runs run k on stream k, every run in the pool.  The number
+  stream 0: the calling process draws the head of the stream with the trial
+  loop while ``workers - 1`` children tally the rest.
+- ``run_batch`` runs run k on stream k, every run in a child.  The number
   of tasks is bounded, so memory stays flat however many runs there are.
-
-One worker, or a single run of at most one block, never starts a pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, WorkerDiedError
 from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
 from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
 
@@ -312,57 +310,30 @@ def tally_casts(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
     )
 
 
-# A pool worker's Ctrl-C state: an interrupt stops the task that is running,
-# and a task that starts after it stops at once, so an interrupted pool stops
-# however long its tasks are.  A worker waiting for work only notes the
-# interrupt, so that the parent alone reports it.
-_worker = {"busy": False, "interrupted": False}
-
-
-def _on_sigint_in_worker(signum, frame) -> None:
-    _worker["interrupted"] = True
-    if _worker["busy"]:
-        raise KeyboardInterrupt
-
-
-def _init_worker() -> None:
-    signal.signal(signal.SIGINT, _on_sigint_in_worker)
-
-
-def _tally_in_worker(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
-    """The ``tally_casts`` of a task ``(seed, streams, start_cast, n_casts, method, ratio)``.
-
-    Runs in a pool worker; after Ctrl-C the KeyboardInterrupt is the result.
-    """
-    if _worker["interrupted"]:
-        raise KeyboardInterrupt
-    _worker["busy"] = True
-    try:
-        return tally_casts(task)
-    finally:
-        _worker["busy"] = False
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; the CPU count where affinity is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class SplitRun:
-    """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over a pool.
+    """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over forked children.
 
-    A pool task is a range of casts on a range of streams.  Runs of at most
+    A task is a range of casts on a range of streams.  Runs of at most
     ``_TASK_CASTS`` casts go whole, grouped about four tasks per worker; longer
     runs are cut into slices of ``_TASK_CASTS`` casts, grown so there are at
-    most ``_WINDOW_UNITS`` tasks.  Every task is submitted on entering the block.
+    most ``_WINDOW_UNITS`` tasks.  Entering the block forks a child per worker,
+    at most one per task and per usable CPU; of c children, child w tallies
+    tasks w, w + c, ... of the tasks sorted largest first, and writes their
+    rows to its own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps them.
 
     Only a single run gives this process a head, its first ``head`` casts
-    (about a ``1/workers`` share), while ``workers - 1`` pool processes tally
-    the rest.  ``join()`` tallies the head itself; a caller that draws it from
-    ``config.stream()`` with the trial loop hands its tally to ``join``.  At
-    one worker every run is all head, as is a single run of at most one
-    block, and no pool starts::
+    (about a ``1/workers`` share).  ``join()`` tallies the head itself; a
+    caller that draws it from ``config.stream()`` with the trial loop hands
+    its tally to ``join``.  At one worker, or without ``os.fork``, every run is
+    all head, as is a single run of at most one block, and no child starts::
 
         with SplitRun(trials, config, workers=workers) as run:
             (tally,) = run.join()
-
-    Leaving the block, on an error or Ctrl-C too, drops the queued tasks and
-    waits only for the running ones.
     """
 
     def __init__(
@@ -386,47 +357,68 @@ class SplitRun:
         # The triangle has no length ratio.
         self.ratio = ratio if method == "needle" else 1.0
         self.trials, self.runs, self.config, self.method = trials, runs, config, method
-        if workers == 1:
+        if workers == 1 or not hasattr(os, "fork"):
             self.head = trials
         elif runs == 1:
-            # Rounded to whole blocks, so the pool's tasks start on block boundaries.
+            # Rounded to whole blocks, so the children's tasks start on block boundaries.
             self.head = min(trials, _BLOCK * max(1, (2 * trials + workers * _BLOCK) // (2 * workers * _BLOCK)))
         else:
             self.head = 0
         self._workers = workers - 1 if runs == 1 else workers
-        self._pool = None
-        self._tasks = []
+        self._children = {}  # the pid and the tasks of each child not yet reaped, by its pipe's read end
+
+    def _tasks(self) -> list[tuple[int, range, int, int, str, float]]:
+        """The ``tally_casts`` tasks of every cast after the head, by stream, then by cast."""
+        span, first, runs = self.trials - self.head, self.config.stream_id, self.runs
+        if not span:
+            return []
+        if span <= _TASK_CASTS:
+            group, size = -(-runs // min(4 * self._workers, _WINDOW_UNITS)), span
+        else:
+            group = -(-runs // _WINDOW_UNITS)
+            slices = _WINDOW_UNITS // -(-runs // group)
+            size = max(_TASK_CASTS, _BLOCK * -(-span // (slices * _BLOCK)))
+        streams = [range(k, min(k + group, first + runs)) for k in range(first, first + runs, group)]
+        return [(self.config.seed, k, a, min(size, self.trials - a), self.method, self.ratio)
+                for k in streams for a in range(self.head, self.trials, size)]
 
     def __enter__(self) -> "SplitRun":
-        span = self.trials - self.head
-        if span:
-            first, runs = self.config.stream_id, self.runs
-            if span <= _TASK_CASTS:
-                group, size = -(-runs // min(4 * self._workers, _WINDOW_UNITS)), span
-            else:
-                group = -(-runs // _WINDOW_UNITS)
-                slices = _WINDOW_UNITS // -(-runs // group)
-                size = max(_TASK_CASTS, _BLOCK * -(-span // (slices * _BLOCK)))
-            rows = [range(k, min(k + group, first + runs)) for k in range(first, first + runs, group)]
-            starts = range(self.head, self.trials, size)
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self._workers, len(rows) * len(starts)), initializer=_init_worker
-            )
-            try:
-                for streams in rows:
-                    for start in starts:
-                        n = min(size, self.trials - start)
-                        task = (self.config.seed, streams, start, n, self.method, self.ratio)
-                        self._tasks.append((streams, self._pool.submit(_tally_in_worker, task)))
-            except BaseException:
-                self._pool.shutdown(cancel_futures=True)
-                raise
+        tasks = sorted(self._tasks(), key=lambda task: -len(task[1]) * task[3])  # the largest first
+        children = min(self._workers, len(tasks), _usable_cpus())
+        try:
+            for w in range(children):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork() or self._child(read, write, tasks[w::children])  # a child never returns
+                except BaseException:
+                    os.close(read)
+                    raise
+                finally:
+                    os.close(write)
+                self._children[read] = pid, tasks[w::children]
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
-    def tallies(self, head: Tally | None = None) -> np.ndarray:
-        """Each run's ``tally_casts`` row, in stream order: this process's share plus the pool's tasks.
+    def _child(self, read: int, write: int, tasks: list) -> None:
+        """In a forked child: tally ``tasks``, write their int64 rows to ``write`` once all are done, and ``os._exit``."""
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            for fd in (read, *self._children):
+                os.close(fd)
+            rows = np.concatenate([np.asarray(tally_casts(task), dtype=np.int64) for task in tasks])
+            with open(write, "wb") as out:
+                out.write(rows.tobytes())
+            os._exit(0)
+        finally:
+            os._exit(1)
 
-        ``head`` is this process's share of a single run, drawn by the caller.
+    def tallies(self, head: Tally | None = None) -> np.ndarray:
+        """Each run's ``tally_casts`` row, in stream order: this process's share plus the children's tasks.
+
+        ``head`` is this process's share of a single run, drawn by the caller.  A child
+        that dies, or exits without all of its rows, raises WorkerDiedError.
         """
         seed, first = self.config.seed, self.config.stream_id
         totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
@@ -440,8 +432,20 @@ class SplitRun:
             )
         else:
             totals[0] = head.counts
-        for streams, future in self._tasks:
-            totals[streams.start - first : streams.stop - first] += future.result()
+        # A child writes once all its tasks are done, so reading the pipes in turn holds none of them back.
+        for fd, (pid, tasks) in list(self._children.items()):
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del self._children[fd]
+            os.close(fd)
+            got, expected = len(data) // totals[0].nbytes, sum(len(task[1]) for task in tasks)
+            if status or len(data) != totals[0].nbytes * expected:
+                how = f"exited with code {status}" if status >= 0 else f"was killed by signal {-status}"
+                raise WorkerDiedError(f"a worker process died: pid {pid} {how}, with {got} of {expected} tally rows")
+            rows = np.frombuffer(data, dtype=np.int64).reshape(-1, totals.shape[1])
+            for _, streams, *_ in tasks:
+                totals[streams.start - first : streams.stop - first] += rows[: len(streams)]
+                rows = rows[len(streams) :]
         return totals
 
     def join(self, head: Tally | None = None) -> list[Tally]:
@@ -449,8 +453,11 @@ class SplitRun:
         return [Tally(self.method, self.trials, tuple(t), self.ratio) for t in self.tallies(head).tolist()]
 
     def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        for fd, (pid, _) in self._children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        self._children.clear()
 
 
 def run_batch(

@@ -76,6 +76,15 @@ class TestEstimateCommand:
         assert rc == 0
         assert "(generated)" in capsys.readouterr().out
 
+    def test_generated_seed_is_eight_little_endian_bytes_of_os_urandom(self, monkeypatch, capsys):
+        # The printed seed is the one the run used: the same flags with it given give the same counts.
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(range(1, n + 1)))
+        assert main(["estimate", "--trials", "1000"]) == 0
+        seed_line, *rest = capsys.readouterr().out.splitlines()
+        assert seed_line == "seed = 578437695752307201 (generated)"  # 0x0807060504030201
+        assert main(["estimate", "--trials", "1000", "--seed", "578437695752307201"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == rest
+
     def test_identical_flags_identical_report(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -362,12 +371,68 @@ class TestWorkers:
             "validate-1-cpu", "validate-1-block"])
     def test_one_worker_or_one_block_starts_no_pool(self, monkeypatch, cpus, argv):
         # validate's Monte Carlo leg runs on every usable CPU.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+        def no_fork():
+            raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(estimators, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert main([*argv, "--seed", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--trials", str(10 * 65536)],
+        ["batch", "--runs", "100", "--trials", "1000"],
+    ], ids=["estimate", "batch"])
+    def test_children_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv):
+        # 100000 workers on two usable CPUs fork two children, with the same
+        # output as one worker.  The recorder refuses a third fork, so this
+        # test never starts more than two processes.
+        forks, fork = [], os.fork
+
+        def recording_fork():
+            if len(forks) == 2:
+                raise AssertionError("a third worker process was forked")
+            forks.append(len(forks))
+            return fork()
+
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        assert main([*argv, "--seed", "1", "--workers", "100000"]) == 0
+        capped = capsys.readouterr()
+        assert forks == [0, 1]
+        assert main([*argv, "--seed", "1", "--workers", "1"]) == 0
+        assert capsys.readouterr() == capped
+
+    @pytest.mark.parametrize("fault, message", [
+        ("none", ""),
+        ("MemoryError in the head", "error: out of memory"),
+        ("Ctrl-C in the head", "error: interrupted\n"),
+        ("MemoryError in a child", "error: a worker process died: pid "),
+        ("child killed mid-run", "error: a worker process died: pid "),
+    ])
+    def test_no_process_is_left_behind(self, monkeypatch, capfd, fault, message):
+        # A run of four blocks at two workers: this process draws two, and one
+        # child the other two.  Every path ends with the child reaped, and
+        # every error path in exit 2 with one line on stderr.
+        def head(n, rng):
+            raise KeyboardInterrupt if fault.startswith("Ctrl-C") else MemoryError
+
+        def child(task):
+            if fault == "child killed mid-run":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError
+
+        if fault.endswith("head"):
+            monkeypatch.setattr(cli, "run_triangle_trials", head)
+        elif fault != "none":
+            monkeypatch.setattr(estimators, "tally_casts", child)
+        rc = main(["estimate", "--trials", str(4 * 65536), "--seed", "1", "--workers", "2"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        err = capfd.readouterr().err
+        assert (rc, err.count("\n")) == ((0, 0) if fault == "none" else (2, 1))
+        assert err.startswith(message)
+        if fault == "child killed mid-run":
+            assert f" was killed by signal {int(signal.SIGKILL)}, " in err
 
     def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
         # This process is busy with its share of the casts; the one pool worker
@@ -380,6 +445,20 @@ def head(n, rng):
 estimators.tally_casts = lambda task: [(0, 1, 1)] * len(task[1])
 cli.run_triangle_trials = head
 sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
+"""
+        assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")
+
+    def test_ctrl_c_leaves_no_process_behind(self):
+        # The command returns only once every child it forked is reaped.
+        script = """
+import os, sys
+import buffon.cli as cli
+code = cli.main(["estimate", "--trials", "1000000000", "--seed", "1", "--workers", "2"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit("a child process was left")
 """
         assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")
 
@@ -413,3 +492,14 @@ class TestTopLevel:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_importing_the_cli_loads_no_executor(self):
+        # The process layer forks its workers, so no command pays for these at start-up.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        code = "import sys, buffon.cli; print(*sys.modules)"
+        modules = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        unwanted = {"concurrent", "multiprocessing", "secrets", "logging", "socket", "queue"}
+        assert [m for m in modules if m.split(".")[0] in unwanted] == []

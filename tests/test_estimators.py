@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import time
 import tracemalloc
@@ -281,15 +280,15 @@ def _count_unit(task):
 
 
 def _record_tasks(monkeypatch):
-    """The list of tasks the scheduler submits to its pool from now on."""
-    submitted = []
+    """The list of tasks the scheduler hands its worker processes from now on."""
+    submitted, task_list = [], estimators.SplitRun._tasks
 
-    class RecordingPool(estimators.ProcessPoolExecutor):
-        def submit(self, fn, task):
-            submitted.append(task)
-            return super().submit(fn, task)
+    def recording(run):
+        tasks = task_list(run)
+        submitted.extend(tasks)
+        return tasks
 
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(estimators.SplitRun, "_tasks", recording)
     return submitted
 
 
@@ -378,6 +377,26 @@ class TestChunkedRuns:
         assert sorted(k for task in submitted for k in task[1]) == list(range(50))
         assert result == run_batch(50, 300, RngConfig(22, 0), workers=1)
 
+    def test_children_take_equal_shares_of_the_casts(self, monkeypatch, tmp_path):
+        # 20 runs of 300001 casts are 20 slices of 262144 casts and 20 tails of
+        # 37857.  Dealt in stream order, one child would take every full slice;
+        # dealt largest first, each child takes ten of each.
+        log = tmp_path / "casts"
+
+        def stand_in(task):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {task[3] * len(task[1])}\n")
+            return [(0, 0, 0)] * len(task[1])
+
+        monkeypatch.setattr(estimators, "tally_casts", stand_in)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        with SplitRun(300001, RngConfig(1, 0), workers=2, runs=20) as run:
+            run.tallies()
+        shares = {}
+        for pid, casts in (line.split() for line in log.read_text().splitlines()):
+            shares[pid] = shares.get(pid, 0) + int(casts)
+        assert sorted(shares.values()) == [10 * 300001, 10 * 300001]
+
     def test_a_long_split_run_has_at_most_a_window_of_units(self, monkeypatch):
         # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in task
         # tallies (1, its casts, 0) per stream, so the join counts units and casts.
@@ -418,21 +437,18 @@ class TestChunkedRuns:
 
     @pytest.mark.parametrize("drawn_by", ["join", "caller"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
-    def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, tmp_path, error, drawn_by):
+    def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, error, drawn_by):
         # Forty blocks at two workers: this process's head of twenty, and twenty
-        # one-block tasks for a pool of one process.  A pool task notes that it
-        # ran and takes half a second; the head raises at once, in ``join()``'s
-        # own tally or in the caller's block.  The error comes out, no pool
-        # process is left, and no queued task runs: only the one the worker had
-        # taken and the two the pool had handed to its call queue can have run.
+        # one-block tasks for one child, ten seconds of work at half a second
+        # each.  The head raises at once, in ``join()``'s own tally or in the
+        # caller's block.  The error comes out, and the child is killed and
+        # reaped at once.
         monkeypatch.setattr(estimators, "_TASK_CASTS", estimators._BLOCK)
-        parent, ran = os.getpid(), tmp_path / "ran"
+        parent = os.getpid()
 
         def stand_in(task):
             if os.getpid() == parent:
                 raise error
-            with open(ran, "a") as f:
-                f.write(f"{task[2]}\n")
             time.sleep(0.5)
             return [(0, 0, 0)] * len(task[1])
 
@@ -445,9 +461,9 @@ class TestChunkedRuns:
                     raise error
                 run.join()
         assert time.monotonic() - started < 5
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         assert len(submitted) == 20
-        assert len(ran.read_text().split() if ran.exists() else []) <= 3
 
 
 class TestPackedRuns:
