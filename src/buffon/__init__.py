@@ -28,7 +28,6 @@ from .oracle import (
 from .render import (
     CastScene,
     HistogramScene,
-    Viewport,
     filename_for_cast,
     render_cast,
     render_histogram,
@@ -51,7 +50,6 @@ __all__ = [
     "SummaryStats",
     "Tally",
     "TriangleSpec",
-    "Viewport",
     "crossings_per_cast",
     "draw_casts",
     "estimate_pi_needle",

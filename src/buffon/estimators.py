@@ -145,7 +145,7 @@ class BatchResult(SummaryStats):
     histogram: tuple[tuple[float, float, int], ...]
 
 
-def _tally_runs(rng, n: int, method: str, *, spacing=1.0, ratio=1.0, runs=1, rekey=None) -> np.ndarray:
+def _tally_runs(rng, n: int, method: str, *, ratio=1.0, runs=1, rekey=None) -> np.ndarray:
     """Integer tallies of ``runs`` runs of n casts each, packed back to back into blocks of ``_BLOCK`` casts.
 
     ``rng`` stands at run 0's first cast, and ``rekey(i)`` moves it to run i's
@@ -178,7 +178,7 @@ def _tally_runs(rng, n: int, method: str, *, spacing=1.0, ratio=1.0, runs=1, rek
             left -= take
         remaining -= m
         # The block holds pieces of the last len(starts) runs up to ``run``.
-        tallies[run + 1 - len(starts) : run + 1] += _block_tallies(u, starts, triangle, spacing, ratio, scratch)
+        tallies[run + 1 - len(starts) : run + 1] += _block_tallies(u, starts, triangle, ratio, scratch)
         del u  # before the next block's draw, so that no two draws are held at once
     return tallies
 
@@ -193,14 +193,14 @@ def _workspace(block: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return _local.workspace
 
 
-def _block_tallies(u, starts, triangle: bool, spacing: float, ratio: float, scratch) -> np.ndarray:
+def _block_tallies(u, starts, triangle: bool, ratio: float, scratch) -> np.ndarray:
     """Per-run int64 tallies of one block drawn as the uniforms ``u``, run i's casts from ``starts[i]``.
 
     ``u`` is overwritten, and the block's per-cast arrays are written into
     ``scratch``, a ``filter_workspace``.
     """
     if triangle:
-        count_x, count_y, _ = filtered_crossings(*cast_columns(u, spacing), spacing, scratch)
+        count_x, count_y, _ = filtered_crossings(*cast_columns(u), scratch)
         sums = [np.add.reduceat(count_x, starts), np.add.reduceat(count_y, starts)]
         # count_x is summed, so its row takes the squared totals.  (Not np.dot:
         # a float dot goes to BLAS, whose threads spin against the pool's
@@ -229,8 +229,8 @@ def _block_tallies(u, starts, triangle: bool, spacing: float, ratio: float, scra
     return np.stack(sums, axis=1).astype(np.int64)
 
 
-def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> Tally:
-    """Cast a triangle of side ``spacing`` n times on a grid of that spacing and tally crossings.
+def run_triangle_trials(n: int, rng) -> Tally:
+    """Cast a unit triangle n times on the unit grid and tally crossings.
 
     The triangle is centered at the origin; each cast draws a rotation and
     the two grid offsets from ``rng`` (anything with the Generator
@@ -239,9 +239,7 @@ def run_triangle_trials(n: int, rng, spacing: float = 1.0) -> Tally:
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    return Tally("triangle", n, tuple(_tally_runs(rng, n, "triangle", spacing=spacing)[0].tolist()))
+    return Tally("triangle", n, tuple(_tally_runs(rng, n, "triangle")[0].tolist()))
 
 
 def estimate_pi_triangle(tally: Tally) -> EstimateSummary:

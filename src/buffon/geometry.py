@@ -16,11 +16,11 @@ casts are counted, never resampled.
 
 ``filtered_crossings`` gives the same counts for blocks of casts at a
 fraction of the cost, as a floating-point filter in the way of Shewchuk's
-adaptive predicates.  It builds the triangles in float32, in units of the
-spacing, and counts by the same floor difference.  A cast where ``hi -
-offset`` or ``lo - offset`` lies within ``FILTER_GUARD`` (2**-12) of an
-integer, in either family, is *near* a line; about 0.2% of random casts
-are, and only those are counted again by the float64 path
+adaptive predicates.  It builds unit triangles in float32, on the unit
+grid every trial is cast on, and counts by the same floor difference.  A
+cast where ``hi - offset`` or ``lo - offset`` lies within ``FILTER_GUARD``
+(2**-12) of an integer, in either family, is *near* a line; about 0.2% of
+random casts are, and only those are counted again by the float64 path
 (``make_triangle`` + ``crossings_per_cast``).  The other counts are exact:
 rounding is monotone, so ``floor(hi - offset)`` is the largest floor over
 the vertices, and every float32 quantity lies within 1e-6 of its float64
@@ -44,8 +44,8 @@ HALF_SQRT3 = SQRT3 / 2.0
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
 
-# Guard of the float32 filter in ``filtered_crossings``, in units of the
-# spacing.  A float32 ``hi - offset`` or ``lo - offset`` differs from its
+# Guard of the float32 filter in ``filtered_crossings``, on the unit grid.
+# A float32 ``hi - offset`` or ``lo - offset`` differs from its
 # float64 value by less than the sum of: rounding the rotation in [0, 2*pi)
 # to float32 (2**-22 rad, times the circumradius 1/sqrt(3): 1.4e-7);
 # float32 cos/sin, within about 2 ulps (2**-23 each, times 1/sqrt(3) and
@@ -165,23 +165,23 @@ def _axis_crossings(a, b, c, offset, spacing):
     return 2 * lines.astype(np.int64)
 
 
-def filtered_crossings(rotation, offset_x, offset_y, spacing: float = 1.0, out=None):
+def filtered_crossings(rotation, offset_x, offset_y, out=None):
     """Crossings of a block of casts, ``(count_x, count_y, near)``, through a float32 filter.
 
-    The casts are triangles of side ``spacing`` centered at the origin, at
-    angles ``rotation`` in [0, 2*pi), on grids with offsets in [0,
-    spacing), as ``sampling.draw_casts`` draws them.  ``count_x`` and
-    ``count_y`` equal, cast by cast, ``crossings_per_cast(make_triangle((0,
-    0), spacing, rotation), offset_x, offset_y, spacing)`` (as float32
-    arrays); ``near`` marks the casts within ``FILTER_GUARD`` of a line,
-    whose counts come from that float64 path.
+    The casts are unit triangles centered at the origin, at angles
+    ``rotation`` in [0, 2*pi), on unit grids with offsets in [0, 1), as
+    ``sampling.draw_casts`` draws them.  ``count_x`` and ``count_y`` equal,
+    cast by cast, ``crossings_per_cast(make_triangle((0, 0), 1.0, rotation),
+    offset_x, offset_y)`` (as float32 arrays); ``near`` marks the casts
+    within ``FILTER_GUARD`` of a line, whose counts come from that float64
+    path.
 
     ``out`` is a ``filter_workspace`` for at least as many casts (one is made
     when omitted); every per-cast array, the results too, is written there.
     """
     m = len(rotation)
     rows, near = filter_workspace(m) if out is None else (out[0][:, :m], out[1][:m])
-    extents = float32_extents(rotation, offset_x, offset_y, spacing, rows)
+    extents = float32_extents(rotation, offset_x, offset_y, rows)
     # |fraction - 1/2| is 1/2 less the distance to the nearest integer, so a
     # cast is near a line iff its largest such value exceeds 1/2 - FILTER_GUARD.
     counts, centred = (rows[1], rows[6]), None
@@ -197,8 +197,8 @@ def filtered_crossings(rotation, offset_x, offset_y, spacing: float = 1.0, out=N
         count *= 2
     np.greater(centred, 0.5 - FILTER_GUARD, out=near)
     idx = np.flatnonzero(near)
-    v = make_triangle((0.0, 0.0), spacing, rotation[idx])
-    counts[0][idx], counts[1][idx] = crossings_per_cast(v, offset_x[idx], offset_y[idx], spacing)
+    v = make_triangle((0.0, 0.0), 1.0, rotation[idx])
+    counts[0][idx], counts[1][idx] = crossings_per_cast(v, offset_x[idx], offset_y[idx])
     return counts[0], counts[1], near
 
 
@@ -207,13 +207,13 @@ def filter_workspace(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((7, m), dtype=np.float32), np.empty(m, dtype=bool)
 
 
-def float32_extents(rotation, offset_x, offset_y, spacing: float = 1.0, out=None):
+def float32_extents(rotation, offset_x, offset_y, out=None):
     """The filter's float32 ``(hi_x - offset_x, lo_x - offset_x, hi_y - offset_y, lo_y - offset_y)``.
 
-    In units of ``spacing``, for the casts of ``filtered_crossings``.  The
-    vertices are built as ``make_triangle`` builds them, in float32, and
-    ``hi``/``lo`` are their largest and smallest coordinates.  The results are
-    rows of ``out``, six float32 rows (made when omitted); rows 1 and 2 end free.
+    For the unit casts of ``filtered_crossings``.  The vertices are built as
+    ``make_triangle`` builds them, in float32, and ``hi``/``lo`` are their
+    largest and smallest coordinates.  The results are rows of ``out``, six
+    float32 rows (made when omitted); rows 1 and 2 end free.
     """
     out = np.empty((6, len(rotation)), dtype=np.float32) if out is None else out
     # Python float constants act in float32 on float32 arrays.
@@ -224,11 +224,11 @@ def float32_extents(rotation, offset_x, offset_y, spacing: float = 1.0, out=None
     c *= 1.0 / SQRT3
     s *= 1.0 / SQRT3
     # The y axis needs c only as |h*c|, so that goes into c itself.
-    x_axis = _float32_axis(c, s, offset_x, spacing, out[2], out[3], out[4])
-    return (*x_axis, *_float32_axis(s, c, offset_y, spacing, out[2], c, out[5]))
+    x_axis = _float32_axis(c, s, offset_x, out[2], out[3], out[4])
+    return (*x_axis, *_float32_axis(s, c, offset_y, out[2], c, out[5]))
 
 
-def _float32_axis(a, b, offset, spacing, half_a, hb, hi):
+def _float32_axis(a, b, offset, half_a, hb, hi):
     """Extremes of the coordinates ``a``, ``-a/2 - h*b`` and ``-a/2 + h*b``, less the offset.
 
     The last two are ``-a/2 -/+ |h*b|`` in some order, so their larger is
@@ -243,7 +243,7 @@ def _float32_axis(a, b, offset, spacing, half_a, hb, hi):
     lo = np.add(hb, half_a, out=hb)
     np.negative(lo, out=lo)
     np.minimum(lo, a, out=lo)
-    off = np.divide(offset, spacing, out=half_a, casting="same_kind")
-    hi -= off
-    lo -= off
+    np.copyto(half_a, offset, casting="same_kind")
+    hi -= half_a
+    lo -= half_a
     return hi, lo

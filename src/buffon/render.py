@@ -24,49 +24,23 @@ HIST_MARGIN_BOTTOM = 60
 
 
 @dataclass(frozen=True)
-class Viewport:
-    """Square world window mapped onto a square pixel canvas."""
-
-    x0: float
-    y0: float
-    span: float
-    canvas_px: int = CANVAS_PX
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.span) and self.span > 0):
-            raise ValueError(f"viewport span must be positive, got {self.span}")
-        if self.canvas_px < 1:
-            raise ValueError(f"canvas size must be >= 1 px, got {self.canvas_px}")
-
-    @property
-    def scale(self) -> float:
-        """Pixels per world unit."""
-        return self.canvas_px / self.span
-
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
-        return ((x - self.x0) * self.scale, (y - self.y0) * self.scale)
-
-
-@dataclass(frozen=True)
 class CastScene:
-    """One cast ready to draw: triangle, visible grid lines, viewport."""
+    """One cast ready to draw: triangle, visible grid lines, and the square world window ``x0, y0, span``."""
 
     vertices: Vertices
     x_lines: tuple[float, ...]
     y_lines: tuple[float, ...]
-    viewport: Viewport
+    x0: float
+    y0: float
+    span: float
 
 
 @dataclass(frozen=True)
 class HistogramScene:
-    """Histogram bins plus the caption mean and axis labels."""
+    """Histogram bins plus the caption mean."""
 
     bins: tuple[tuple[float, float, int], ...]
     mean: float
-    x_label: str = "pi estimate"
-    y_label: str = "runs"
-    width: int = HIST_WIDTH
-    height: int = HIST_HEIGHT
 
     def __post_init__(self) -> None:
         if len(self.bins) == 0:
@@ -86,7 +60,7 @@ def grid_lines_in_window(offset: float, spacing: float, lo: float, hi: float) ->
         k += 1
 
 
-def scene_for_cast(tri: TriangleSpec, grid: GridSpec, canvas_px: int = CANVAS_PX) -> CastScene:
+def scene_for_cast(tri: TriangleSpec, grid: GridSpec) -> CastScene:
     """Frame a cast with its circumcircle spanning the canvas.
 
     The world window is the square of side 2*circumradius centered on the
@@ -96,55 +70,53 @@ def scene_for_cast(tri: TriangleSpec, grid: GridSpec, canvas_px: int = CANVAS_PX
     x0 = tri.center[0] - r
     y0 = tri.center[1] - r
     span = 2.0 * r
-    viewport = Viewport(x0, y0, span, canvas_px)
     x_lines = grid_lines_in_window(grid.offset_x, grid.spacing, x0, x0 + span)
     y_lines = grid_lines_in_window(grid.offset_y, grid.spacing, y0, y0 + span)
-    return CastScene(tri.vertices(), x_lines, y_lines, viewport)
+    return CastScene(tri.vertices(), x_lines, y_lines, x0, y0, span)
 
 
-def _fmt(value: float, decimals: int) -> str:
-    return f"{value:.{decimals}f}"
+def _fmt(value: float) -> str:
+    return f"{value:.2f}"
 
 
-def render_cast(scene: CastScene, decimals: int = 2) -> str:
+def render_cast(scene: CastScene) -> str:
     """SVG for one cast: white background, black triangle edges, red grid."""
-    vp = scene.viewport
-    c = vp.canvas_px
+    c, scale = CANVAS_PX, CANVAS_PX / scene.span
     out = [
         f'<svg height="{c}" width="{c}" xmlns="http://www.w3.org/2000/svg">',
         f'<rect x="0" y="0" width="{c}" height="{c}" fill="white" />',
     ]
     v = scene.vertices
     for a, b in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0])):
-        x1, y1 = vp.to_px(*a)
-        x2, y2 = vp.to_px(*b)
+        x1, y1 = (a[0] - scene.x0) * scale, (a[1] - scene.y0) * scale
+        x2, y2 = (b[0] - scene.x0) * scale, (b[1] - scene.y0) * scale
         out.append(
-            f'<line x1="{_fmt(x1, decimals)}" y1="{_fmt(y1, decimals)}" '
-            f'x2="{_fmt(x2, decimals)}" y2="{_fmt(y2, decimals)}" '
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="black" stroke-width="2"/>'
         )
     for x in scene.x_lines:
-        px = (x - vp.x0) * vp.scale
+        px = (x - scene.x0) * scale
         out.append(
-            f'<line x1="{_fmt(px, decimals)}" y1="0" x2="{_fmt(px, decimals)}" y2="{c}" '
+            f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{c}" '
             f'stroke="red" stroke-width="2"/>'
         )
     for y in scene.y_lines:
-        py = (y - vp.y0) * vp.scale
+        py = (y - scene.y0) * scale
         out.append(
-            f'<line x1="0" y1="{_fmt(py, decimals)}" x2="{c}" y2="{_fmt(py, decimals)}" '
+            f'<line x1="0" y1="{_fmt(py)}" x2="{c}" y2="{_fmt(py)}" '
             f'stroke="red" stroke-width="2"/>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def render_histogram(scene: HistogramScene, decimals: int = 2) -> str:
+def render_histogram(scene: HistogramScene) -> str:
     """SVG histogram: black bars, axes, estimate-axis ticks, mean caption."""
     plot_left = HIST_MARGIN_LEFT
-    plot_right = scene.width - HIST_MARGIN_RIGHT
+    plot_right = HIST_WIDTH - HIST_MARGIN_RIGHT
     plot_top = HIST_MARGIN_TOP
-    plot_bottom = scene.height - HIST_MARGIN_BOTTOM
+    plot_bottom = HIST_HEIGHT - HIST_MARGIN_BOTTOM
     plot_w = plot_right - plot_left
     plot_h = plot_bottom - plot_top
 
@@ -163,16 +135,16 @@ def render_histogram(scene: HistogramScene, decimals: int = 2) -> str:
         return plot_left + (x - x_min) / x_span * plot_w
 
     out = [
-        f'<svg height="{scene.height}" width="{scene.width}" xmlns="http://www.w3.org/2000/svg">',
-        f'<rect x="0" y="0" width="{scene.width}" height="{scene.height}" fill="white" />',
+        f'<svg height="{HIST_HEIGHT}" width="{HIST_WIDTH}" xmlns="http://www.w3.org/2000/svg">',
+        f'<rect x="0" y="0" width="{HIST_WIDTH}" height="{HIST_HEIGHT}" fill="white" />',
     ]
     for low, high, count in scene.bins:
         bar_h = count / max_count * plot_h
         left = x_px(low)
         width = x_px(high) - left
         out.append(
-            f'<rect x="{_fmt(left, decimals)}" y="{_fmt(plot_bottom - bar_h, decimals)}" '
-            f'width="{_fmt(width, decimals)}" height="{_fmt(bar_h, decimals)}" '
+            f'<rect x="{_fmt(left)}" y="{_fmt(plot_bottom - bar_h)}" '
+            f'width="{_fmt(width)}" height="{_fmt(bar_h)}" '
             f'fill="black"/>'
         )
     out.append(
@@ -187,11 +159,11 @@ def render_histogram(scene: HistogramScene, decimals: int = 2) -> str:
         x = x_min + x_span * i / 4
         px = x_px(x)
         out.append(
-            f'<line x1="{_fmt(px, decimals)}" y1="{plot_bottom}" '
-            f'x2="{_fmt(px, decimals)}" y2="{plot_bottom + 5}" stroke="black" stroke-width="1"/>'
+            f'<line x1="{_fmt(px)}" y1="{plot_bottom}" '
+            f'x2="{_fmt(px)}" y2="{plot_bottom + 5}" stroke="black" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(px, decimals)}" y="{plot_bottom + 20}" text-anchor="middle" '
+            f'<text x="{_fmt(px)}" y="{plot_bottom + 20}" text-anchor="middle" '
             f'font-size="12">{x:.4f}</text>'
         )
     out.append(
@@ -200,12 +172,12 @@ def render_histogram(scene: HistogramScene, decimals: int = 2) -> str:
     )
     out.append(
         f'<text x="{(plot_left + plot_right) // 2}" y="{plot_bottom + 40}" '
-        f'text-anchor="middle" font-size="13">{scene.x_label}</text>'
+        'text-anchor="middle" font-size="13">pi estimate</text>'
     )
     out.append(
         f'<text x="14" y="{(plot_top + plot_bottom) // 2}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 14 {(plot_top + plot_bottom) // 2})">'
-        f'{scene.y_label}</text>'
+        'runs</text>'
     )
     out.append(
         f'<text x="{(plot_left + plot_right) // 2}" y="{plot_top - 16}" '

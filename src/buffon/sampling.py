@@ -88,33 +88,27 @@ class CastSample:
     offset_y: float
 
 
-def draw_casts(
-    rng: np.random.Generator, m: int, spacing: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw m casts as columns (rotation, offset_x, offset_y).
+def draw_casts(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw m casts on the unit grid as columns (rotation, offset_x, offset_y).
 
-    Rotations are uniform on [0, 2*pi) and offsets uniform on [0, spacing).
+    Rotations are uniform on [0, 2*pi) and offsets uniform on [0, 1).
     The fixed draw order keeps sequences reproducible: cast i consumes
     exactly the uniforms 3i, 3i+1, 3i+2 of its stream, so drawing in blocks
     of any size gives the same casts.
     """
-    return cast_columns(rng.random(UNIFORMS_PER_CAST * m), spacing)
+    return cast_columns(rng.random(UNIFORMS_PER_CAST * m))
 
 
-def cast_columns(u: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The casts of the float64 uniforms ``u``, three per cast, built in place as views of ``u``."""
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be a positive finite length, got {spacing}")
+def cast_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-grid casts of the float64 uniforms ``u``, three per cast, built in place as views of ``u``."""
     u = u.reshape(-1, UNIFORMS_PER_CAST)
     u[:, 0] *= TWO_PI
-    # One column at a time: numpy walks a two-column slice several times slower.
-    if spacing != 1.0:
-        u[:, 1] *= spacing
-        u[:, 2] *= spacing
     return u[:, 0], u[:, 1], u[:, 2]
 
 
 def sample_cast(rng: np.random.Generator, spacing: float) -> CastSample:
-    """Draw one cast: the one-row view of ``draw_casts``."""
-    rotation, offset_x, offset_y = draw_casts(rng, 1, spacing)
-    return CastSample(float(rotation[0]), float(offset_x[0]), float(offset_y[0]))
+    """Draw one cast on a grid of ``spacing``: the one-row view of ``draw_casts``, offsets scaled by ``spacing``."""
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be a positive finite length, got {spacing}")
+    rotation, offset_x, offset_y = draw_casts(rng, 1)
+    return CastSample(float(rotation[0]), float(offset_x[0]) * spacing, float(offset_y[0]) * spacing)

@@ -95,7 +95,7 @@ def test_criterion_4_needle_baseline():
 
 
 def _casts(stream_id, n=100_000):
-    rotation, offset_x, offset_y = draw_casts(RngConfig(SEED, stream_id).stream(), n, 1.0)
+    rotation, offset_x, offset_y = draw_casts(RngConfig(SEED, stream_id).stream(), n)
     return make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y
 
 

@@ -14,7 +14,9 @@ import buffon.cli as cli
 import buffon.estimators as estimators
 from buffon.cli import build_parser, main
 from buffon.estimators import run_batch
-from buffon.sampling import RngConfig
+from buffon.geometry import GridSpec, TriangleSpec
+from buffon.render import HistogramScene, render_cast, render_histogram, scene_for_cast
+from buffon.sampling import RngConfig, sample_cast
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -461,6 +463,42 @@ except ChildProcessError:
 sys.exit("a child process was left")
 """
         assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")
+
+
+class TestBenchmarkContract:
+    """The calls ``bench/layers.py`` makes into the package, so that a change that breaks them fails here too."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_the_kernel_call_is_made_through_the_cli(self, monkeypatch, capsys, workers):
+        # The bench traces the functions ``cli`` imports and the streams its
+        # RngConfig makes with ``stream()``; the kernel span must nest there.
+        assert cli.run_triangle_trials.__module__ == "buffon.estimators"
+        kernel, calls, streams = cli.run_triangle_trials, [], []
+
+        def recorded_kernel(n, rng):
+            calls.append(rng)
+            return kernel(n, rng)
+
+        class RecordedRngConfig(RngConfig):
+            def stream(self):  # no arguments, as the bench's stand-in takes none
+                streams.append(super().stream())
+                return streams[-1]
+
+        monkeypatch.setattr(cli, "run_triangle_trials", recorded_kernel)
+        monkeypatch.setattr(cli, "RngConfig", RecordedRngConfig)
+        assert main(["estimate", "--trials", "200000", "--seed", "5", "--workers", workers]) == 0
+        assert "pi estimate = " in capsys.readouterr().out
+        assert len(calls) == 1 and calls[0] is streams[0]
+
+    def test_the_call_shapes_the_bench_uses(self):
+        rng = RngConfig(7, 0).stream()
+        cast = sample_cast(rng, 1.0)
+        tri = TriangleSpec((0.0, 0.0), 1.0, cast.rotation)
+        svg = render_cast(scene_for_cast(tri, GridSpec(1.0, cast.offset_x, cast.offset_y)))
+        assert svg.startswith("<svg") and ET.fromstring(svg) is not None
+        result = run_batch(4, 100, RngConfig(7, 0))
+        svg = render_histogram(HistogramScene(bins=result.histogram, mean=result.mean))
+        assert svg.startswith("<svg") and ET.fromstring(svg) is not None
 
 
 class TestTopLevel:

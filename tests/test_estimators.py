@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import time
@@ -63,12 +64,15 @@ class TestRunTriangleTrials:
     @pytest.mark.parametrize("spacing", [1.0, 3.7])
     def test_tallies_equal_the_float64_path(self, spacing):
         # Four blocks and a tail through the float32 filter, against one
-        # float64 pass over the same casts.
+        # float64 pass over the same casts scaled up to ``spacing``.  Counts
+        # are scale-invariant but for rounding at a line, so the casts the
+        # filter flags near keep their unit counts.
         for seed in (0, 1, 42):
-            tally = run_triangle_trials(300_000, RngConfig(seed, 0).stream(), spacing)
-            rotation, offset_x, offset_y = draw_casts(RngConfig(seed, 0).stream(), 300_000, spacing)
-            v = make_triangle((0.0, 0.0), spacing, rotation)
-            count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
+            tally = run_triangle_trials(300_000, RngConfig(seed, 0).stream())
+            casts = draw_casts(RngConfig(seed, 0).stream(), 300_000)
+            near = filtered_crossings(*casts)[2]
+            unit, scaled = _float64_counts(*casts), _float64_counts(*casts, spacing)
+            count_x, count_y = (np.where(near, u, s) for u, s in zip(unit, scaled))
             total = count_x + count_y
             assert tally.counts == (int(count_x.sum()), int(count_y.sum()), int(np.dot(total, total)))
 
@@ -510,15 +514,19 @@ class TestPackedRuns:
         assert sizes == [256] * 15 + [160]
 
 
-def _float64_rows(seed, streams, n, method, spacing=1.0):
+def _float64_counts(rotation, offset_x, offset_y, scale=1.0):
+    """The general float64 counter on unit casts scaled up by ``scale``: side, offsets and spacing alike."""
+    v = make_triangle((0.0, 0.0), scale, rotation)
+    return crossings_per_cast(v, scale * offset_x, scale * offset_y, scale)
+
+
+def _float64_rows(seed, streams, n, method):
     """Each stream's tallies of its first n casts, counted cast by cast on the float64 path (needle ratio 0.5)."""
     rows = []
     for k in streams:
         rng = RngConfig(seed, k).stream()
         if method == "triangle":
-            rotation, offset_x, offset_y = draw_casts(rng, n, spacing)
-            v = make_triangle((0.0, 0.0), spacing, rotation)
-            count_x, count_y = crossings_per_cast(v, offset_x, offset_y, spacing)
+            count_x, count_y = _float64_counts(*draw_casts(rng, n))
             total = count_x + count_y
             rows.append((int(count_x.sum()), int(count_y.sum()), int((total * total).sum())))
         else:
@@ -527,11 +535,15 @@ def _float64_rows(seed, streams, n, method, spacing=1.0):
     return rows
 
 
-def _checked_kernel(rotation, offset_x, offset_y, spacing, out):
-    """``filtered_crossings``, with each cast's counts checked against the float64 path."""
-    count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y, spacing, out)
-    exact_x, exact_y = crossings_per_cast(make_triangle((0.0, 0.0), spacing, rotation), offset_x, offset_y, spacing)
-    assert np.array_equal(count_x, exact_x) and np.array_equal(count_y, exact_y)
+def _checked_kernel(rotation, offset_x, offset_y, out, scale=1.0):
+    """``filtered_crossings``, with each cast's counts checked against the float64 path.
+
+    The casts the filter does not flag near are checked again with the casts scaled up by ``scale``.
+    """
+    count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y, out)
+    for factor, keep in ((1.0, slice(None)), (scale, ~near)):
+        exact_x, exact_y = _float64_counts(rotation, offset_x, offset_y, factor)
+        assert np.array_equal(count_x[keep], exact_x[keep]) and np.array_equal(count_y[keep], exact_y[keep])
     return count_x, count_y, near
 
 
@@ -540,7 +552,7 @@ class TestWorkspace:
     @given(
         method=st.sampled_from(["triangle", "needle"]),
         # Back-to-back calls of blocks of 256 casts: runs of 1-700 casts, so
-        # final blocks are short, packed and straddled, some on a wider grid.
+        # final blocks are short, packed and straddled, some checked scaled up.
         calls=st.lists(
             st.tuples(
                 st.integers(0, (1 << 64) - 1), st.integers(1, 4), st.integers(1, 700), st.sampled_from([1.0, 3.7])
@@ -550,17 +562,14 @@ class TestWorkspace:
         ),
     )
     def test_back_to_back_calls_on_a_dirty_workspace(self, method, calls):
-        with mock.patch.object(estimators, "_BLOCK", 256), mock.patch.object(estimators, "filtered_crossings", _checked_kernel):
-            for seed, runs, n, spacing in calls:
+        with mock.patch.object(estimators, "_BLOCK", 256):
+            for seed, runs, n, scale in calls:
                 # Whatever a call reads before writing it would be this garbage.
                 buffer, (scratch, near) = estimators._workspace(256)
                 for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
                     array.fill(garbage)
-                if method == "triangle" and spacing != 1.0:
-                    rows = [run_triangle_trials(n, RngConfig(seed, 0).stream(), spacing).counts]
-                    assert rows == _float64_rows(seed, range(1), n, method, spacing)
-                    continue
-                rows = [tuple(row) for row in tally_casts((seed, range(runs), 0, n, method, 0.5)).tolist()]
+                with mock.patch.object(estimators, "filtered_crossings", functools.partial(_checked_kernel, scale=scale)):
+                    rows = [tuple(row) for row in tally_casts((seed, range(runs), 0, n, method, 0.5)).tolist()]
                 assert rows == [_straight_tallies(n, RngConfig(seed, k), method, 0.5) for k in range(runs)]
                 assert rows == _float64_rows(seed, range(runs), n, method)
 
@@ -630,3 +639,16 @@ class TestConvergenceScaling:
         wide = run_batch(200, 40_000, RngConfig(20240811, 0))
         ratio = wide.stddev / narrow.stddev
         assert 0.4 <= ratio <= 0.6
+
+
+class TestStandardErrorCalibration:
+    @pytest.mark.parametrize("method, ratio", [("triangle", 1.0), ("needle", 0.5)])
+    def test_predicted_error_matches_the_spread_of_runs(self, method, ratio):
+        # 2000 runs of 5000 casts: the empirical variance of the per-run rates
+        # over their mean predicted SE**2 is 1 to within its chi-square spread,
+        # sqrt(2 / (R - 1)) ~ 0.032; four of those bound it.
+        runs = 2000
+        with SplitRun(5000, RngConfig(11, 0), method, ratio=ratio, workers=2, runs=runs) as split:
+            rates = np.array([tally.rate() for tally in split.join()])
+        calibration = rates[:, 0].var(ddof=1) / np.mean(rates[:, 1] ** 2)
+        assert abs(calibration - 1.0) < 4 * math.sqrt(2 / (runs - 1)), f"variance ratio {calibration:.3f}"

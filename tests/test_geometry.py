@@ -33,7 +33,7 @@ TIE_ROTATIONS = sorted({k * math.pi / 6.0 for k in range(12)} | {k * math.pi / 4
 
 
 def _random_casts(seed, n):
-    return draw_casts(RngConfig(seed, 0).stream(), n, 1.0)
+    return draw_casts(RngConfig(seed, 0).stream(), n)
 
 
 def _max_abs_gap(v, w):
@@ -297,9 +297,9 @@ class TestCrossingsAtTies:
         assert count_x in (0, 2) and count_y in (0, 2)
 
 
-def _float64_counts(rotation, offset_x, offset_y, spacing):
-    """The exact path the filter must reproduce."""
-    return crossings_per_cast(make_triangle((0.0, 0.0), spacing, rotation), offset_x, offset_y, spacing)
+def _float64_counts(rotation, offset_x, offset_y, scale=1.0):
+    """The exact path the filter must reproduce, on the unit casts scaled up by ``scale``: side, offsets and spacing alike."""
+    return crossings_per_cast(make_triangle((0.0, 0.0), scale, rotation), scale * offset_x, scale * offset_y, scale)
 
 
 class TestFilteredCrossings:
@@ -307,14 +307,18 @@ class TestFilteredCrossings:
 
     @pytest.mark.parametrize("spacing", [1.0, 3.7])
     def test_equals_the_float64_path_cast_by_cast(self, spacing):
-        # 5 x 2**20 casts per spacing, drawn a block of 2**18 at a time.
+        # 5 x 2**20 casts per spacing, drawn a block of 2**18 at a time.  Scaled
+        # up to ``spacing``, a cast may round to the other side of a line only
+        # within the guard of it, so the general counter must agree on every
+        # cast the filter does not flag near, and at spacing 1 on all of them.
         for seed in (0, 1, 2, 3, 7):
             rng = RngConfig(seed, 0).stream()
             for _ in range(4):
-                rotation, offset_x, offset_y = draw_casts(rng, 1 << 18, spacing)
-                count_x, count_y, _ = filtered_crossings(rotation, offset_x, offset_y, spacing)
+                rotation, offset_x, offset_y = draw_casts(rng, 1 << 18)
+                count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y)
                 exact_x, exact_y = _float64_counts(rotation, offset_x, offset_y, spacing)
-                assert np.array_equal(count_x, exact_x) and np.array_equal(count_y, exact_y)
+                same = (count_x == exact_x) & (count_y == exact_y)
+                assert same.all() if spacing == 1.0 else same[~near].all()
 
     def test_few_casts_fall_back(self):
         # Four quantities per cast, each near a line with probability
@@ -349,15 +353,18 @@ class TestFilteredCrossings:
         spacing=st.sampled_from([1.0, 3.7]),
     )
     def test_near_a_vertex_on_a_line(self, rotation, vertex, axis, shift, other_offset, spacing):
-        # The line through the offset passes ``shift`` spacings from a vertex;
-        # within the guard of an extreme vertex the cast must fall back.
-        v = make_triangle((0.0, 0.0), spacing, rotation)
-        offsets = [other_offset * spacing, other_offset * spacing]
-        offsets[axis] = (float(v[vertex][axis]) + shift * spacing) % spacing
-        assume(offsets[axis] < spacing)
+        # The line through the offset passes ``shift`` from a vertex; within
+        # the guard of an extreme vertex the cast must fall back.  Scaled up
+        # to ``spacing``, a cast not flagged near counts the same.
+        v = make_triangle((0.0, 0.0), 1.0, rotation)
+        offsets = [other_offset, other_offset]
+        offsets[axis] = (float(v[vertex][axis]) + shift) % 1.0
+        assume(offsets[axis] < 1.0)
         cast = [np.array([rotation]), np.array([offsets[0]]), np.array([offsets[1]])]
-        count_x, count_y, near = filtered_crossings(*cast, spacing)
-        assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast, spacing))
+        count_x, count_y, near = filtered_crossings(*cast)
+        assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast))
+        if not near[0]:
+            assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast, spacing))
         coords = [float(p[axis]) for p in v]
         if abs(shift) < FILTER_GUARD and coords[vertex] in (min(coords), max(coords)):
             assert near[0]

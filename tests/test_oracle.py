@@ -99,9 +99,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("side, spacing", [(0.5, 1.0), (2.0, 1.0), (1.0, 3.7)])
     def test_crofton_rate_at_any_ratio(self, side, spacing):
         # A million casts of the counter at side != spacing land within 5
-        # standard errors of 12 * side / (pi * spacing).
-        rotation, offset_x, offset_y = draw_casts(RngConfig(23, 0).stream(), 1_000_000, spacing)
-        count_x, count_y = crossings_per_cast(make_triangle((0.0, 0.0), side, rotation), offset_x, offset_y, spacing)
+        # standard errors of 12 * side / (pi * spacing).  The unit offsets are
+        # scaled up to the grid.
+        rotation, offset_x, offset_y = draw_casts(RngConfig(23, 0).stream(), 1_000_000)
+        v = make_triangle((0.0, 0.0), side, rotation)
+        count_x, count_y = crossings_per_cast(v, spacing * offset_x, spacing * offset_y, spacing)
         total = count_x + count_y
         standard_error = total.std(ddof=1) / math.sqrt(total.size)
         assert abs(total.mean() - expected_crossings_closed_form(side, spacing)) < 5 * standard_error

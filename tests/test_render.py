@@ -6,7 +6,6 @@ import pytest
 from buffon.geometry import GridSpec, TriangleSpec
 from buffon.render import (
     HistogramScene,
-    Viewport,
     filename_for_cast,
     grid_lines_in_window,
     render_cast,
@@ -50,11 +49,6 @@ class TestRenderCast:
         assert doc.startswith('<svg height="400" width="400"')
         assert doc.rstrip().endswith("</svg>")
 
-    def test_viewport_center_maps_to_canvas_center(self):
-        viewport = Viewport(-0.5, -0.5, 1.0)
-        assert viewport.to_px(0.0, 0.0) == (200.0, 200.0)
-        assert viewport.scale == 400.0
-
     def test_vertex_pixels(self, two_line_scene):
         # rotation-0 vertex 0 sits at (r, 0): right edge, vertical center
         doc = render_cast(two_line_scene)
@@ -67,20 +61,10 @@ class TestRenderCast:
         rebuilt = scene_for_cast(TriangleSpec((0.0, 0.0), 1.0, 0.0), GridSpec(1.0, 0.5, 0.5))
         assert render_cast(rebuilt) == render_cast(two_line_scene)
 
-    def test_decimals_parameter(self, two_line_scene):
-        doc = render_cast(two_line_scene, decimals=4)
-        assert 'x1="400.0000"' in doc
-
     def test_well_formed_for_random_scene(self):
         tri = TriangleSpec((3.0, -2.0), 1.0, 1.9)
         scene = scene_for_cast(tri, GridSpec(1.0, 0.123, 0.987))
         _parse(render_cast(scene))
-
-    def test_degenerate_viewport_rejected(self):
-        with pytest.raises(ValueError):
-            Viewport(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Viewport(0.0, 0.0, 1.0, canvas_px=0)
 
 
 class TestGridLinesInWindow:

@@ -17,17 +17,17 @@ CHI2_CRIT_99DOF_P999 = 148.23035916510173
 
 def test_rotation_range_and_distinct():
     rng = RngConfig(1, 0).stream()
-    (first, second), _, _ = draw_casts(rng, 2, 1.0)
+    (first, second), _, _ = draw_casts(rng, 2)
     assert first != second
     for value in (first, second):
         assert 0.0 <= value < TWO_PI
 
 
 def test_rotation_sequences_reproducible():
-    first = draw_casts(RngConfig(9, 4).stream(), 1, 1.0)[0]
-    seq1 = draw_casts(RngConfig(9, 4).stream(), 50, 1.0)[0]
+    first = draw_casts(RngConfig(9, 4).stream(), 1)[0]
+    seq1 = draw_casts(RngConfig(9, 4).stream(), 50)[0]
     rng2 = RngConfig(9, 4).stream()
-    seq2 = np.concatenate([draw_casts(rng2, 20, 1.0)[0], draw_casts(rng2, 30, 1.0)[0]])
+    seq2 = np.concatenate([draw_casts(rng2, 20)[0], draw_casts(rng2, 30)[0]])
     assert seq1.tolist() == seq2.tolist()  # block size does not change the casts
     assert seq1[0] == first[0]
 
@@ -39,11 +39,14 @@ def test_rotation_mean_converges_to_pi():
 
 
 def test_offset_range_unit_and_scaled():
+    # draw_casts casts on the unit grid; sample_cast scales to any spacing.
     rng = RngConfig(13, 0).stream()
-    for spacing in (1.0, 17320.5):
-        _, offset_x, offset_y = draw_casts(rng, 10_000, spacing)
-        for samples in (offset_x, offset_y):
-            assert ((0.0 <= samples) & (samples < spacing)).all()
+    _, offset_x, offset_y = draw_casts(rng, 10_000)
+    for samples in (offset_x, offset_y):
+        assert ((0.0 <= samples) & (samples < 1.0)).all()
+    for _ in range(10_000):
+        cast = sample_cast(rng, 17320.5)
+        assert 0.0 <= cast.offset_x < 17320.5 and 0.0 <= cast.offset_y < 17320.5
 
 
 def test_offset_uniform_at_deciles():
@@ -64,10 +67,9 @@ def test_offset_no_modulo_bias_chi_square():
 
 def test_offset_invalid_spacing():
     rng = RngConfig(1, 0).stream()
-    with pytest.raises(ValueError):
-        draw_casts(rng, 1, 0.0)
-    with pytest.raises(ValueError):
-        draw_casts(rng, 1, -2.0)
+    for spacing in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_cast(rng, spacing)
 
 
 def test_cast_composes_three_draws_in_order():
