@@ -13,21 +13,16 @@ The loop runs in one workspace per process (per thread), so a block
 allocates nothing of its size but a piece that fills it: fresh block-sized
 temporaries cost up to 11.5k page faults per 1e6 casts, against ~100 now.
 
-Runs are split into tasks.  ``tally_casts`` turns a task, casts
-``start .. start + n - 1`` of a range of streams with ``start`` a multiple of
-``_BLOCK``, into integer tallies, one row per stream, drawing from one
-generator re-keyed at each stream's first cast (see ``sampling``).  Tallies
-of one stream sum exactly, so no count, estimate or output byte depends on
-how runs are cut or packed, or on the worker count.  ``SplitRun`` is the one
-scheduler.  A worker's whole result is a few int64 rows, so its workers are
-forked with ``os.fork`` and return them over pipes, with no executor, queue
-or pickling to start or import; a ``Tally`` carries each run's row onward.
-
-- ``estimate`` and the Monte Carlo leg of ``validate`` are a single run on
-  stream 0: the calling process draws the head of the stream with the trial
-  loop while ``workers - 1`` children tally the rest.
-- ``run_batch`` runs run k on stream k, every run in a child.  The number
-  of tasks is bounded, so memory stays flat however many runs there are.
+``tally_casts`` tallies a task, consecutive casts of runs laid end to end
+from a Philox counter boundary, as one int64 row per stream, re-keying one
+generator at each later stream's first cast (see ``sampling``).  Tallies of
+one stream sum exactly, so no output byte depends on how runs are cut or
+packed, or on the worker count.  ``SplitRun``, the one scheduler, cuts the
+casts into one contiguous share per child forked with ``os.fork``; each
+child tallies its share as one task and returns its rows over a pipe, with
+no executor, queue or pickling to start or import.  A single run
+(``estimate``, ``validate``'s Monte Carlo leg) leaves the calling process a
+head of stream 0 to draw with the trial loop; a batch goes to the children.
 """
 
 from __future__ import annotations
@@ -52,14 +47,6 @@ from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_colu
 # fresh processes each: no size wins beyond host noise.  Peak RSS grows with
 # the block (37, 38, 40 and 44 MB in process).
 _BLOCK = 1 << 16
-# Casts per pool task along a run: a run longer than this is cut into slices
-# of this many casts, so a task takes tens of milliseconds and the workers
-# finish close together.  Shorter runs go whole, several to a task.
-_TASK_CASTS = 1 << 18
-# Most pool tasks in one run or batch.  Every task is submitted at once, so
-# slices grow, and long runs share tasks, where there would be more than this
-# many; memory stays flat however many casts there are.
-_WINDOW_UNITS = 1 << 12
 # The trial loop's workspace, one per thread (see ``_workspace``).
 _local = threading.local()
 
@@ -145,19 +132,21 @@ class BatchResult(SummaryStats):
     histogram: tuple[tuple[float, float, int], ...]
 
 
-def _tally_runs(rng, n: int, method: str, *, ratio=1.0, runs=1, rekey=None) -> np.ndarray:
-    """Integer tallies of ``runs`` runs of n casts each, packed back to back into blocks of ``_BLOCK`` casts.
+def _tally_runs(rng, n: int, method: str, *, ratio=1.0, start=0, casts=None, rekey=None) -> np.ndarray:
+    """Integer tallies of ``casts`` (default n) casts of runs of n casts laid end to end, from run 0's cast ``start``.
 
-    ``rng`` stands at run 0's first cast, and ``rekey(i)`` moves it to run i's
-    first cast; a run that straddles two blocks goes on drawing from ``rng``.
-    Returns an int64 array of one row per run: ``(count_x, count_y, sq_sum)``
-    for the triangle, ``(hits,)`` for the needle.
+    The casts are packed back to back into blocks of ``_BLOCK`` casts.
+    ``rng`` stands at run 0's cast ``start``, and ``rekey(i)`` moves it to run
+    i's first cast; a run that straddles two blocks goes on drawing from
+    ``rng``.  Returns an int64 array of one row per run touched:
+    ``(count_x, count_y, sq_sum)`` for the triangle, ``(hits,)`` for the needle.
     """
     triangle = method == "triangle"
     uniforms = UNIFORMS_PER_CAST if triangle else UNIFORMS_PER_DROP
     buffer, scratch = _workspace(_BLOCK)
-    tallies = np.zeros((runs, 3 if triangle else 1), dtype=np.int64)
-    run, left, remaining = 0, n, runs * n
+    remaining = n if casts is None else casts
+    tallies = np.zeros((-(-(start + remaining) // n), 3 if triangle else 1), dtype=np.int64)
+    run, left = 0, n - start
     while remaining:
         m = min(_BLOCK, remaining)
         starts, filled = [], 0
@@ -290,21 +279,22 @@ def _pi_estimates(trials: int, counts, method: str, ratio: float = 1.0):
     return (12.0 * trials if method == "triangle" else 2.0 * ratio * trials) / counts
 
 
-def tally_casts(task: tuple[int, range, int, int, str, float]) -> np.ndarray:
-    """Integer tallies of a task ``(seed, streams, start_cast, n_casts, method, ratio)``, one row per stream.
+def tally_casts(task: tuple[int, int, int, int, int, str, float]) -> np.ndarray:
+    """Integer tallies of a task ``(seed, stream, start_cast, casts, trials, method, ratio)``, one row per stream.
 
-    The task covers casts ``start_cast .. start_cast + n_casts - 1`` of each
-    stream ``(seed, k)`` for k in ``streams``, which must start on a Philox
-    counter boundary (see ``sampling``).  One generator is re-keyed from
-    stream to stream, so short runs share blocks.  Rows are ``(count_x,
-    count_y, sq_sum)`` for the triangle and ``(hits,)`` for the needle.
+    Runs of ``trials`` casts, run i on stream ``(seed, stream + i)``, are laid
+    end to end, and the task covers ``casts`` consecutive casts of them from
+    cast ``start_cast`` of the first, which must start on a Philox counter
+    boundary (see ``sampling``).  One generator is re-keyed from stream to
+    stream, so short runs share blocks.  Rows are ``(count_x, count_y,
+    sq_sum)`` for the triangle and ``(hits,)`` for the needle.
     """
-    seed, streams, start_cast, n_casts, method, ratio = task
+    seed, stream, start_cast, casts, trials, method, ratio = task
     uniforms = UNIFORMS_PER_CAST if method == "triangle" else UNIFORMS_PER_DROP
-    rng = RngConfig(seed, streams[0]).stream(start_cast, uniforms)
+    rng = RngConfig(seed, stream).stream(start_cast, uniforms)
     return _tally_runs(
-        rng, n_casts, method, ratio=ratio, runs=len(streams),
-        rekey=lambda i: RngConfig(seed, streams[i]).rekey(rng.bit_generator, start_cast, uniforms),
+        rng, trials, method, ratio=ratio, start=start_cast, casts=casts,
+        rekey=lambda i: RngConfig(seed, stream + i).rekey(rng.bit_generator, 0, uniforms),
     )
 
 
@@ -316,13 +306,13 @@ def _usable_cpus() -> int:
 class SplitRun:
     """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over forked children.
 
-    A task is a range of casts on a range of streams.  Runs of at most
-    ``_TASK_CASTS`` casts go whole, grouped about four tasks per worker; longer
-    runs are cut into slices of ``_TASK_CASTS`` casts, grown so there are at
-    most ``_WINDOW_UNITS`` tasks.  Entering the block forks a child per worker,
-    at most one per task and per usable CPU; of c children, child w tallies
-    tasks w, w + c, ... of the tasks sorted largest first, and writes their
-    rows to its own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps them.
+    The runs are laid end to end in stream order, and the casts after the
+    head are cut into one contiguous share per child, at most one child per
+    worker and per usable CPU.  Each cut is rounded down to a ``_BLOCK``
+    boundary within its run, so shares differ by less than two blocks, and
+    empty shares are dropped.  Entering the block forks the children; each
+    tallies its share as one ``tally_casts`` task and writes the rows to its
+    own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps them.
 
     Only a single run gives this process a head, its first ``head`` casts
     (about a ``1/workers`` share).  ``join()`` tallies the head itself; a
@@ -363,49 +353,44 @@ class SplitRun:
         else:
             self.head = 0
         self._workers = workers - 1 if runs == 1 else workers
-        self._children = {}  # the pid and the tasks of each child not yet reaped, by its pipe's read end
+        self._children = {}  # the pid and the runs of each child not yet reaped, by its pipe's read end
 
-    def _tasks(self) -> list[tuple[int, range, int, int, str, float]]:
-        """The ``tally_casts`` tasks of every cast after the head, by stream, then by cast."""
-        span, first, runs = self.trials - self.head, self.config.stream_id, self.runs
-        if not span:
-            return []
-        if span <= _TASK_CASTS:
-            group, size = -(-runs // min(4 * self._workers, _WINDOW_UNITS)), span
-        else:
-            group = -(-runs // _WINDOW_UNITS)
-            slices = _WINDOW_UNITS // -(-runs // group)
-            size = max(_TASK_CASTS, _BLOCK * -(-span // (slices * _BLOCK)))
-        streams = [range(k, min(k + group, first + runs)) for k in range(first, first + runs, group)]
-        return [(self.config.seed, k, a, min(size, self.trials - a), self.method, self.ratio)
-                for k in streams for a in range(self.head, self.trials, size)]
+    def _shares(self) -> list[tuple[int, int]]:
+        """The children's shares of the casts after the head: ``(start, stop)`` in the runs laid end to end."""
+        begin, end = self.head * self.runs, self.trials * self.runs
+        children = min(self._workers, _usable_cpus())
+        cuts = [begin + k * (end - begin) // children for k in range(children)] + [end]
+        # Each cut down to a block boundary within its run; the head ends on one.
+        cuts = [cut - cut % self.trials % _BLOCK for cut in cuts]
+        return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
     def __enter__(self) -> "SplitRun":
-        tasks = sorted(self._tasks(), key=lambda task: -len(task[1]) * task[3])  # the largest first
-        children = min(self._workers, len(tasks), _usable_cpus())
         try:
-            for w in range(children):
+            for a, b in self._shares():
+                run, cast = divmod(a, self.trials)
+                stream = self.config.stream_id + run
+                task = (self.config.seed, stream, cast, b - a, self.trials, self.method, self.ratio)
                 read, write = os.pipe()
                 try:
-                    pid = os.fork() or self._child(read, write, tasks[w::children])  # a child never returns
+                    pid = os.fork() or self._child(read, write, task)  # a child never returns
                 except BaseException:
                     os.close(read)
                     raise
                 finally:
                     os.close(write)
-                self._children[read] = pid, tasks[w::children]
+                self._children[read] = pid, slice(run, -(-b // self.trials))
         except BaseException:
             self.__exit__()
             raise
         return self
 
-    def _child(self, read: int, write: int, tasks: list) -> None:
-        """In a forked child: tally ``tasks``, write their int64 rows to ``write`` once all are done, and ``os._exit``."""
+    def _child(self, read: int, write: int, task: tuple) -> None:
+        """In a forked child: tally ``task``, write its int64 rows to ``write``, and ``os._exit``."""
         try:
             signal.signal(signal.SIGINT, signal.SIG_DFL)
             for fd in (read, *self._children):
                 os.close(fd)
-            rows = np.concatenate([np.asarray(tally_casts(task), dtype=np.int64) for task in tasks])
+            rows = np.asarray(tally_casts(task), dtype=np.int64)
             with open(write, "wb") as out:
                 out.write(rows.tobytes())
             os._exit(0)
@@ -413,7 +398,7 @@ class SplitRun:
             os._exit(1)
 
     def tallies(self, head: Tally | None = None) -> np.ndarray:
-        """Each run's ``tally_casts`` row, in stream order: this process's share plus the children's tasks.
+        """Each run's ``tally_casts`` row, in stream order: this process's share plus the children's.
 
         ``head`` is this process's share of a single run, drawn by the caller.  A child
         that dies, or exits without all of its rows, raises WorkerDiedError.
@@ -422,7 +407,7 @@ class SplitRun:
         totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
         if head is None:
             if self.head:
-                totals += tally_casts((seed, range(first, first + self.runs), 0, self.head, self.method, self.ratio))
+                totals += tally_casts((seed, first, 0, self.head * self.runs, self.trials, self.method, self.ratio))
         elif self.runs != 1 or (head.method, head.trials, head.ratio) != (self.method, self.head, self.ratio):
             raise ValueError(
                 f"join takes the head of a single run, {self.head} casts of the {self.method}; "
@@ -430,20 +415,18 @@ class SplitRun:
             )
         else:
             totals[0] = head.counts
-        # A child writes once all its tasks are done, so reading the pipes in turn holds none of them back.
-        for fd, (pid, tasks) in list(self._children.items()):
+        # A child writes once its task is done, so reading the pipes in turn holds none of them back.
+        for fd, (pid, runs) in list(self._children.items()):
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del self._children[fd]
             os.close(fd)
-            got, expected = len(data) // totals[0].nbytes, sum(len(task[1]) for task in tasks)
-            if status or len(data) != totals[0].nbytes * expected:
+            rows = totals[runs]
+            if status or len(data) != rows.nbytes:
                 how = f"exited with code {status}" if status >= 0 else f"was killed by signal {-status}"
-                raise WorkerDiedError(f"a worker process died: pid {pid} {how}, with {got} of {expected} tally rows")
-            rows = np.frombuffer(data, dtype=np.int64).reshape(-1, totals.shape[1])
-            for _, streams, *_ in tasks:
-                totals[streams.start - first : streams.stop - first] += rows[: len(streams)]
-                rows = rows[len(streams) :]
+                got = len(data) // totals[0].nbytes
+                raise WorkerDiedError(f"a worker process died: pid {pid} {how}, with {got} of {len(rows)} tally rows")
+            rows += np.frombuffer(data, dtype=np.int64).reshape(rows.shape)
         return totals
 
     def join(self, head: Tally | None = None) -> list[Tally]:

@@ -23,10 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TEST_PID = os.getpid()
 
 
-def _die_in_worker(unit):
-    """Stand-in work unit: kills the pool worker that runs it."""
+def _die_in_worker(task):
+    """Stand-in ``tally_casts``: kills the child process that runs it."""
     if os.getpid() == TEST_PID:
-        raise AssertionError("the unit ran in the test process, not in a pool worker")
+        raise AssertionError("the task ran in the test process, not in a child")
     os._exit(1)
 
 
@@ -120,9 +120,10 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
     def test_worker_count_keeps_bytes_identical(self, monkeypatch, tmp_path, capsys, method):
-        # Pool units of one block: this process draws the first block, and the
-        # pool two more and a tail of 5 casts, so there are more units than workers.
-        monkeypatch.setattr(estimators, "_TASK_CASTS", estimators._BLOCK)
+        # On two usable CPUs: at 2 workers this process draws two blocks and one
+        # child a block and a tail of 5 casts; at 3 workers this process draws
+        # the first block, and two children one block and the rest.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
         outputs = {}
         for workers in ("1", "2", "3"):
             report = tmp_path / f"w{workers}.json"
@@ -308,7 +309,7 @@ class TestWorkers:
         assert build_parser().parse_args(["estimate"]).workers == (os.cpu_count() or 1)
 
     def test_dead_worker_is_runtime_error(self, monkeypatch, capfd):
-        # Fork workers inherit the patched unit and exit without a result.
+        # The forked child inherits the patched task and exits without a result.
         monkeypatch.setattr(estimators, "tally_casts", _die_in_worker)
         rc = main(["estimate", "--trials", str(2 * 65536), "--seed", "1", "--workers", "2"])
         assert rc == 2
@@ -329,7 +330,7 @@ class TestWorkers:
     def _interrupt(argv, delay):
         """Run ``argv`` with ``src`` on the path, and send SIGINT to its process
         group, as a terminal's Ctrl-C does, ``delay`` s after its seed line.  It
-        must stop within 10 s, well under one of the longest units."""
+        must stop within 10 s, well under a child's share of the casts."""
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
         proc = subprocess.Popen(
@@ -349,16 +350,14 @@ class TestWorkers:
 
     @pytest.mark.parametrize("trials", ["1000000000", "10000000000", "1000000000000"])
     def test_ctrl_c_stops_a_long_run_without_a_traceback(self, trials):
-        # Minutes to days of work on two workers, so the queued units must be
-        # dropped and the running one stopped.  Half a second in, this process is
-        # drawing its half of the casts and the pool holds the other half: 1908
-        # units at 1e9 casts, 4016 larger ones at 1e10 and 4096 of 1.2e8 casts
-        # (a minute each) at 1e12.
+        # Minutes to days of work on two workers, so the running child must be
+        # stopped.  Half a second in, this process is drawing its half of the
+        # casts and one child is tallying the other half as one task.
         argv = ["-m", "buffon.cli", "estimate", "--trials", trials, "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
     def test_ctrl_c_stops_a_long_batch_without_a_traceback(self):
-        # Four runs of 1e10 casts: 4072 queued tasks of about 1e7 casts each.
+        # Four runs of 1e10 casts: two children, each tallying two runs as one task.
         argv = ["-m", "buffon.cli", "batch", "--runs", "4", "--trials", "10000000000", "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
@@ -437,14 +436,14 @@ class TestWorkers:
             assert f" was killed by signal {int(signal.SIGKILL)}, " in err
 
     def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
-        # This process is busy with its share of the casts; the one pool worker
-        # has finished its unit and waits for work when the signal comes.
+        # This process is busy with its share of the casts; the one child has
+        # written its row and exited when the signal comes.
         script = """
 import sys, time
 import buffon.cli as cli, buffon.estimators as estimators
 def head(n, rng):
     time.sleep(2)
-estimators.tally_casts = lambda task: [(0, 1, 1)] * len(task[1])
+estimators.tally_casts = lambda task: [(0, 1, 1)]
 cli.run_triangle_trials = head
 sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
 """

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import buffon.estimators as estimators
@@ -279,21 +279,30 @@ def _straight_tallies(n, config, method, ratio):
     return run_needle_trials(n, config.stream(), ratio).counts
 
 
-def _count_unit(task):
-    return [(1, task[3], 0)] * len(task[1])
+def _rows(task):
+    """The number of runs a ``tally_casts`` task touches, and so of its rows."""
+    _, _, start, casts, trials, *_ = task
+    return (start + casts - 1) // trials + 1
 
 
-def _record_tasks(monkeypatch):
-    """The list of tasks the scheduler hands its worker processes from now on."""
-    submitted, task_list = [], estimators.SplitRun._tasks
+def _count_task(task):
+    return [(1, task[3], 0)] * _rows(task)
 
-    def recording(run):
-        tasks = task_list(run)
-        submitted.extend(tasks)
-        return tasks
 
-    monkeypatch.setattr(estimators.SplitRun, "_tasks", recording)
-    return submitted
+def _log_tasks(monkeypatch, log):
+    """Make every process append ``pid stream start casts`` to ``log`` for each ``tally_casts`` task it runs."""
+    def logged(task):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {task[1]} {task[2]} {task[3]}\n")
+        return tally_casts(task)
+
+    monkeypatch.setattr(estimators, "tally_casts", logged)
+
+
+def _child_tasks(log):
+    """The tasks the children logged, as ``(pid, stream, start, casts)``: not those of this process."""
+    tasks = [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
+    return [task for task in tasks if task[0] != os.getpid()]
 
 
 class TestChunkedRuns:
@@ -309,15 +318,14 @@ class TestChunkedRuns:
         # A chunk may start at any multiple of 4 casts (triangle) or 2 drops (needle).
         step = 4 if method == "triangle" else 2
         bounds = sorted({0, n} | {c * step for c in cuts if c * step < n})
-        streams = range(stream_id, stream_id + 1)
-        chunks = [tally_casts((seed, streams, a, b - a, method, 0.5)) for a, b in zip(bounds, bounds[1:])]
+        chunks = [tally_casts((seed, stream_id, a, b - a, n, method, 0.5)) for a, b in zip(bounds, bounds[1:])]
         summed = tuple(sum(chunks)[0].tolist())
         assert summed == _straight_tallies(n, RngConfig(seed, stream_id), method, 0.5)
 
     @pytest.mark.parametrize("method, start", [("triangle", 2), ("triangle", 6), ("needle", 1)])
     def test_unit_off_a_counter_boundary_is_rejected(self, method, start):
         with pytest.raises(ValueError, match="multiple of 4"):
-            tally_casts((1, range(1), start, 10, method, 0.5))
+            tally_casts((1, 0, start, 10, 100, method, 0.5))
 
     @staticmethod
     def _split_run(trials, config, method, ratio, workers, draw_head):
@@ -330,22 +338,26 @@ class TestChunkedRuns:
                 (tally,) = run.join(run_needle_trials(run.head, config.stream(), ratio))
         return tally
 
-    @pytest.mark.parametrize("window", [1 << 12, 2])
+    @pytest.mark.parametrize("cpus", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
-    def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, window):
-        # Blocks and pool units of 256 casts: at 2 workers this process draws 512
-        # of the 1029 casts and the pool three units (256, 256 and a tail of 5);
-        # at 3 workers it draws 256 and the pool four.  A window of 2 units
-        # doubles the unit size instead.  The head is drawn by the caller, as
-        # the CLI does, or tallied by ``join()``.
+    def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, cpus):
+        # Blocks of 256 casts: at 2 workers this process draws 512 of the 1029
+        # casts and one child the other 517; at 3 workers it draws 256 and two
+        # children take 256 and 517.  The head is drawn by the caller, as the
+        # CLI does, or tallied by ``join()``.  A batch of 3 such runs goes to
+        # one child per worker, at most ``cpus`` of them, cut inside runs.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
-        monkeypatch.setattr(estimators, "_TASK_CASTS", 256)
-        monkeypatch.setattr(estimators, "_WINDOW_UNITS", window)
-        config = RngConfig(19, 4)
-        expected = Tally(method, 1029, _straight_tallies(1029, config, method, 0.5), 0.5 if method == "needle" else 1.0)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        config, ratio = RngConfig(19, 4), 0.5 if method == "needle" else 1.0
+        expected = Tally(method, 1029, _straight_tallies(1029, config, method, 0.5), ratio)
         for draw_head in (True, False):
             assert self._split_run(1029, config, method, 0.5, workers, draw_head) == expected
+        with SplitRun(1029, config, method, ratio=0.5, workers=workers, runs=3) as batch:
+            tallies = batch.join()
+        assert tallies == [
+            Tally(method, 1029, _straight_tallies(1029, RngConfig(19, k), method, 0.5), ratio) for k in (4, 5, 6)
+        ]
 
     @pytest.mark.parametrize("trials, workers, head", [
         (1000, 4, 1000), (65536, 2, 65536), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
@@ -355,42 +367,48 @@ class TestChunkedRuns:
         # A run of at most one block, or one worker, stays in this process.
         assert SplitRun(trials, RngConfig(1, 0), workers=workers).head == head
 
-    def test_batch_runs_longer_than_a_block(self, monkeypatch):
-        # Blocks and slices of 256 casts and at most 5 tasks: 3 runs of 4 blocks
-        # take one task each, 7 runs share 4 tasks, and one run of 4 blocks is
-        # split between this process (2 blocks) and two pool tasks.
+    def test_batch_runs_longer_than_a_block(self, monkeypatch, tmp_path):
+        # Blocks of 256 casts and runs of 1003: each child runs one task, a
+        # stretch of whole and cut runs, and the batch equals straight runs.
+        # One run at 2 workers is split between this process (2 blocks) and
+        # one child.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
-        monkeypatch.setattr(estimators, "_TASK_CASTS", 256)
-        monkeypatch.setattr(estimators, "_WINDOW_UNITS", 5)
-        submitted = _record_tasks(monkeypatch)
-        for runs, tasks in [(3, 3), (7, 4), (1, 2)]:
-            submitted.clear()
-            result = run_batch(runs, 1000, RngConfig(20, 0), workers=2)
-            assert len(submitted) == tasks
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        for runs, workers, children in [(3, 2, 2), (7, 3, 3), (1, 2, 1)]:
+            log = tmp_path / f"{runs}-{workers}"
+            _log_tasks(monkeypatch, log)
+            result = run_batch(runs, 1003, RngConfig(20, 0), workers=workers)
+            tasks = _child_tasks(log)
+            assert len({pid for pid, *_ in tasks}) == len(tasks) == children
             for k in range(runs):
-                tally = run_triangle_trials(1000, RngConfig(20, k).stream())
+                tally = run_triangle_trials(1003, RngConfig(20, k).stream())
                 assert result.estimates[k] == estimate_pi_triangle(tally).pi_estimate
 
-    @pytest.mark.parametrize("workers, tasks", [(2, 8), (3, 10)])
-    def test_short_runs_go_whole_about_four_tasks_per_worker(self, monkeypatch, workers, tasks):
-        # 50 runs in groups of ceil(50 / (4 * workers)): 7 runs a task at 2 workers, 5 at 3.
-        submitted = _record_tasks(monkeypatch)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_short_runs_go_whole_one_task_per_child(self, monkeypatch, tmp_path, workers):
+        # 50 runs of 300 casts, shorter than a block, so every cut falls on a
+        # run's first cast: each child tallies whole runs as one task.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        _log_tasks(monkeypatch, tmp_path / "tasks")
         result = run_batch(50, 300, RngConfig(22, 0), workers=workers)
-        assert len(submitted) == tasks
-        assert all((task[2], task[3]) == (0, 300) for task in submitted)
-        assert sorted(k for task in submitted for k in task[1]) == list(range(50))
+        tasks = sorted(task[1:] for task in _child_tasks(tmp_path / "tasks"))
+        assert len(tasks) == workers
+        next_run = 0
+        for stream, start, casts in tasks:
+            assert (stream, start, casts % 300) == (next_run, 0, 0)
+            next_run += casts // 300
+        assert next_run == 50
         assert result == run_batch(50, 300, RngConfig(22, 0), workers=1)
 
     def test_children_take_equal_shares_of_the_casts(self, monkeypatch, tmp_path):
-        # 20 runs of 300001 casts are 20 slices of 262144 casts and 20 tails of
-        # 37857.  Dealt in stream order, one child would take every full slice;
-        # dealt largest first, each child takes ten of each.
+        # 20 runs of 300001 casts at 2 workers: the cut falls halfway, on run
+        # 10's first cast, so each child takes ten runs.
         log = tmp_path / "casts"
 
         def stand_in(task):
             with open(log, "a") as f:
-                f.write(f"{os.getpid()} {task[3] * len(task[1])}\n")
-            return [(0, 0, 0)] * len(task[1])
+                f.write(f"{os.getpid()} {task[3]}\n")
+            return [(0, 0, 0)] * _rows(task)
 
         monkeypatch.setattr(estimators, "tally_casts", stand_in)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
@@ -401,16 +419,43 @@ class TestChunkedRuns:
             shares[pid] = shares.get(pid, 0) + int(casts)
         assert sorted(shares.values()) == [10 * 300001, 10 * 300001]
 
-    def test_a_long_split_run_has_at_most_a_window_of_units(self, monkeypatch):
-        # 1e10 casts would be 19000 units of _TASK_CASTS; each stand-in task
-        # tallies (1, its casts, 0) per stream, so the join counts units and casts.
-        monkeypatch.setattr(estimators, "tally_casts", _count_unit)
-        with SplitRun(10**10, RngConfig(1, 0), workers=2) as run:
+    def test_a_long_split_run_gives_each_child_one_task(self, monkeypatch):
+        # 1e10 casts at 3 workers on 2 CPUs: each stand-in task tallies
+        # (1, its casts, 0), so the join counts tasks and casts.  Two children
+        # get one task each, so what a child holds does not grow with the run.
+        monkeypatch.setattr(estimators, "tally_casts", _count_task)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        with SplitRun(10**10, RngConfig(1, 0), workers=3) as run:
             (tally,) = run.join(Tally("triangle", run.head, (0, 0, 0)))
         count_x, count_y, _ = tally.counts
         assert tally.trials == 10**10
         assert count_y == 10**10 - run.head
-        assert 2000 < count_x <= estimators._WINDOW_UNITS
+        assert count_x == 2
+
+    @settings(max_examples=300, deadline=None)
+    @example(trials=10**6, runs=1, workers=4, cpus=2, method="triangle")
+    @given(
+        trials=st.integers(1, 3 * 10**6) | st.sampled_from([7, 65536, 65537, 70003, 300001, 10**10]),
+        runs=st.integers(1, 50),
+        workers=st.integers(1, 4),
+        cpus=st.integers(1, 4),
+        method=st.sampled_from(["triangle", "needle"]),
+    )
+    def test_shares_cover_every_cast_once_in_balanced_block_aligned_pieces(self, trials, runs, workers, cpus, method):
+        # Positions p in the runs laid end to end are the casts (p // trials,
+        # p % trials): the head is [0, head * runs), and the children's shares
+        # follow it end to end up to the last run's last cast.
+        block = estimators._BLOCK
+        with mock.patch.object(estimators, "_usable_cpus", lambda: cpus):
+            run = SplitRun(trials, RngConfig(1, 0), method, workers=workers, runs=runs)
+            shares = run._shares()
+        edges = [run.head * runs] + [stop for _, stop in shares]
+        assert [start for start, _ in shares] == edges[:-1]
+        assert edges[-1] == trials * runs
+        assert all(start < stop and start % trials % block == 0 for start, stop in shares)
+        assert len(shares) <= min(workers, cpus)
+        sizes = [stop - start for start, stop in shares]
+        assert not sizes or max(sizes) - min(sizes) <= 2 * block
 
     def test_split_run_validation(self):
         for args, kwargs in [
@@ -442,32 +487,29 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("drawn_by", ["join", "caller"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
     def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, error, drawn_by):
-        # Forty blocks at two workers: this process's head of twenty, and twenty
-        # one-block tasks for one child, ten seconds of work at half a second
-        # each.  The head raises at once, in ``join()``'s own tally or in the
-        # caller's block.  The error comes out, and the child is killed and
-        # reaped at once.
-        monkeypatch.setattr(estimators, "_TASK_CASTS", estimators._BLOCK)
-        parent = os.getpid()
+        # Forty blocks at two workers: this process's head of twenty, and one
+        # child's task of the other twenty, ten seconds of work.  The head
+        # raises at once, in ``join()``'s own tally or in the caller's block.
+        # The error comes out, and the child is killed and reaped at once.
+        parent, trials = os.getpid(), 40 * estimators._BLOCK
 
         def stand_in(task):
             if os.getpid() == parent:
                 raise error
-            time.sleep(0.5)
-            return [(0, 0, 0)] * len(task[1])
+            time.sleep(10)
+            return [(0, 0, 0)]
 
         monkeypatch.setattr(estimators, "tally_casts", stand_in)
-        submitted = _record_tasks(monkeypatch)
+        assert SplitRun(trials, RngConfig(1, 0), workers=2)._shares() == [(trials // 2, trials)]
         started = time.monotonic()
         with pytest.raises(error):
-            with SplitRun(40 * estimators._BLOCK, RngConfig(1, 0), workers=2) as run:
+            with SplitRun(trials, RngConfig(1, 0), workers=2) as run:
                 if drawn_by == "caller":
                     raise error
                 run.join()
         assert time.monotonic() - started < 5
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert len(submitted) == 20
 
 
 class TestPackedRuns:
@@ -481,17 +523,22 @@ class TestPackedRuns:
         # exceed half a block and that straddle one or more blocks.
         n=st.sampled_from([1, 3, 64, 128, 129, 200, 255, 256, 257, 600]) | st.integers(1, 700),
         start_blocks=st.integers(0, 3),
+        casts=st.integers(1, 4200),
     )
-    def test_packed_tallies_equal_straight_runs(self, method, seed, first, runs, n, start_blocks):
+    def test_packed_tallies_equal_straight_runs(self, method, seed, first, runs, n, start_blocks, casts):
+        # A task from a block boundary within the first run, through any cast of the last.
         first = min(first, (1 << 64) - runs)
-        start = 256 * start_blocks
+        start = 256 * min(start_blocks, (n - 1) // 256)
+        casts = 1 + (casts - 1) % (runs * n - start)
         with mock.patch.object(estimators, "_BLOCK", 256):
-            packed = tally_casts((seed, range(first, first + runs), start, n, method, 0.5)).tolist()
-        for k, row in zip(range(first, first + runs), packed):
-            config = RngConfig(seed, k)
+            packed = tally_casts((seed, first, start, casts, n, method, 0.5)).tolist()
+        assert len(packed) == -(-(start + casts) // n)
+        for i, row in enumerate(packed):
+            lo, hi = max(start - i * n, 0), min(start + casts - i * n, n)
+            config = RngConfig(seed, first + i)
             expected = np.subtract(
-                _straight_tallies(start + n, config, method, 0.5),
-                _straight_tallies(start, config, method, 0.5) if start else 0,
+                _straight_tallies(hi, config, method, 0.5),
+                _straight_tallies(lo, config, method, 0.5) if lo else 0,
             )
             assert tuple(row) == tuple(expected.tolist())
 
@@ -569,7 +616,7 @@ class TestWorkspace:
                 for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
                     array.fill(garbage)
                 with mock.patch.object(estimators, "filtered_crossings", functools.partial(_checked_kernel, scale=scale)):
-                    rows = [tuple(row) for row in tally_casts((seed, range(runs), 0, n, method, 0.5)).tolist()]
+                    rows = [tuple(row) for row in tally_casts((seed, 0, 0, runs * n, n, method, 0.5)).tolist()]
                 assert rows == [_straight_tallies(n, RngConfig(seed, k), method, 0.5) for k in range(runs)]
                 assert rows == _float64_rows(seed, range(runs), n, method)
 
@@ -579,21 +626,21 @@ class TestWorkspace:
         # between threads would mix their blocks and change the tallies.
         calls = [(k, method) for k in range(4) for method in ("triangle", "needle")]
         with mock.patch.object(estimators, "_BLOCK", 256):
-            expected = [tally_casts((9, range(k, k + 3), 0, 20_000, method, 0.5)).tolist() for k, method in calls]
+            expected = [tally_casts((9, k, 0, 3 * 20_000, 20_000, method, 0.5)).tolist() for k, method in calls]
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(tally_casts, (9, range(k, k + 3), 0, 20_000, method, 0.5)) for k, method in calls]
+                futures = [pool.submit(tally_casts, (9, k, 0, 3 * 20_000, 20_000, method, 0.5)) for k, method in calls]
                 got = [future.result(timeout=60).tolist() for future in futures]
         assert got == expected
 
     @pytest.mark.parametrize("task", [
-        (5, range(1), 0, 20 * estimators._BLOCK, "triangle", 1.0),
-        (5, range(200), 0, 5000, "triangle", 1.0),
-        (5, range(1), 0, 4_000_000, "needle", 0.5),
+        (5, 0, 0, 20 * estimators._BLOCK, 20 * estimators._BLOCK, "triangle", 1.0),
+        (5, 0, 0, 200 * 5000, 5000, "triangle", 1.0),
+        (5, 0, 0, 4_000_000, 4_000_000, "needle", 0.5),
     ], ids=["one-run-of-20-blocks", "200-runs-of-5000", "needle-4e6"])
     def test_a_block_allocates_nothing_of_its_size_but_its_draw(self, task):
         # tracemalloc sees numpy's data buffers.  After a warm-up call has made
         # the workspace, a call holds at most one whole-block draw at a time.
-        uniforms = UNIFORMS_PER_CAST if task[4] == "triangle" else UNIFORMS_PER_DROP
+        uniforms = UNIFORMS_PER_CAST if task[5] == "triangle" else UNIFORMS_PER_DROP
         tally_casts(task)
         tracemalloc.start()
         try:
