@@ -67,9 +67,9 @@ def _needle_ratio(args) -> float:
 
 
 def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int) -> Tally:
-    """One run on stream 0.  This process draws its share of the casts straight
-    from the start of the stream, as a one-worker run draws them all, while
-    ``workers - 1`` child processes tally the rest.
+    """One run on stream 0.  This process draws the first share of the casts
+    straight from the start of the stream, as a one-worker run draws them all,
+    while a child process tallies each other share (see ``SplitRun``).
 
     The share is drawn here, with the trial loop, so that the kernel call is a
     step of the command itself: ``bench/layers.py`` traces the functions this
@@ -217,7 +217,7 @@ def cmd_validate(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="buffon", description="Monte Carlo pi estimation by casting shapes on a grid")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = "worker processes (default: usable CPUs; at most one child process per usable CPU starts)"
+    workers_help = "worker processes (default: usable CPUs; at most one process per usable CPU, this one included)"
 
     p = sub.add_parser("estimate", help="single run: cast and print the pi estimate")
     p.add_argument("--method", choices=("triangle", "needle"), default="triangle")

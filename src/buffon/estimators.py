@@ -18,11 +18,10 @@ from a Philox counter boundary, as one int64 row per stream, re-keying one
 generator at each later stream's first cast (see ``sampling``).  Tallies of
 one stream sum exactly, so no output byte depends on how runs are cut or
 packed, or on the worker count.  ``SplitRun``, the one scheduler, cuts the
-casts into one contiguous share per child forked with ``os.fork``; each
-child tallies its share as one task and returns its rows over a pipe, with
-no executor, queue or pickling to start or import.  A single run
-(``estimate``, ``validate``'s Monte Carlo leg) leaves the calling process a
-head of stream 0 to draw with the trial loop; a batch goes to the children.
+casts into one contiguous share per process, at most one per usable CPU:
+the calling process tallies the first, and a child forked with ``os.fork``
+each other one, returning its rows over a pipe, with no executor, queue or
+pickling to start or import.
 """
 
 from __future__ import annotations
@@ -304,21 +303,21 @@ def _usable_cpus() -> int:
 
 
 class SplitRun:
-    """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over forked children.
+    """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over processes.
 
-    The runs are laid end to end in stream order, and the casts after the
-    head are cut into one contiguous share per child, at most one child per
-    worker and per usable CPU.  Each cut is rounded down to a ``_BLOCK``
+    The runs are laid end to end in stream order and cut evenly into one
+    contiguous share per process, at most ``workers`` and one per usable CPU
+    (one without ``os.fork``).  Each cut is rounded up to a ``_BLOCK``
     boundary within its run, so shares differ by less than two blocks, and
-    empty shares are dropped.  Entering the block forks the children; each
+    empty shares are dropped.  The first share, the casts before ``head``, is
+    this process's: all of them at one worker, or for a single run of at most
+    one block.  Entering the block forks one child per other share; each
     tallies its share as one ``tally_casts`` task and writes the rows to its
     own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps them.
 
-    Only a single run gives this process a head, its first ``head`` casts
-    (about a ``1/workers`` share).  ``join()`` tallies the head itself; a
-    caller that draws it from ``config.stream()`` with the trial loop hands
-    its tally to ``join``.  At one worker, or without ``os.fork``, every run is
-    all head, as is a single run of at most one block, and no child starts::
+    ``join()`` tallies this process's share itself.  A caller of a single run
+    may instead draw its first ``head`` casts from ``config.stream()`` with
+    the trial loop and hand their tally to ``join``::
 
         with SplitRun(trials, config, workers=workers) as run:
             (tally,) = run.join()
@@ -345,28 +344,22 @@ class SplitRun:
         # The triangle has no length ratio.
         self.ratio = ratio if method == "needle" else 1.0
         self.trials, self.runs, self.config, self.method = trials, runs, config, method
-        if workers == 1 or not hasattr(os, "fork"):
-            self.head = trials
-        elif runs == 1:
-            # Rounded to whole blocks, so the children's tasks start on block boundaries.
-            self.head = min(trials, _BLOCK * max(1, (2 * trials + workers * _BLOCK) // (2 * workers * _BLOCK)))
-        else:
-            self.head = 0
-        self._workers = workers - 1 if runs == 1 else workers
+        processes = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
+        end = trials * runs
+        cuts = [0]
+        for k in range(1, processes):
+            # Up to a block boundary within the run, so that every share starts on one.
+            run, cast = divmod(k * end // processes, trials)
+            cuts.append(run * trials + min(trials, -(-cast // _BLOCK) * _BLOCK))
+        cuts.append(end)
+        # ``(start, stop)`` in the runs laid end to end; the first share is this process's.
+        self._shares = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        self.head = self._shares[0][1]
         self._children = {}  # the pid and the runs of each child not yet reaped, by its pipe's read end
-
-    def _shares(self) -> list[tuple[int, int]]:
-        """The children's shares of the casts after the head: ``(start, stop)`` in the runs laid end to end."""
-        begin, end = self.head * self.runs, self.trials * self.runs
-        children = min(self._workers, _usable_cpus())
-        cuts = [begin + k * (end - begin) // children for k in range(children)] + [end]
-        # Each cut down to a block boundary within its run; the head ends on one.
-        cuts = [cut - cut % self.trials % _BLOCK for cut in cuts]
-        return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
     def __enter__(self) -> "SplitRun":
         try:
-            for a, b in self._shares():
+            for a, b in self._shares[1:]:
                 run, cast = divmod(a, self.trials)
                 stream = self.config.stream_id + run
                 task = (self.config.seed, stream, cast, b - a, self.trials, self.method, self.ratio)
@@ -406,8 +399,9 @@ class SplitRun:
         seed, first = self.config.seed, self.config.stream_id
         totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
         if head is None:
-            if self.head:
-                totals += tally_casts((seed, first, 0, self.head * self.runs, self.trials, self.method, self.ratio))
+            totals[: -(-self.head // self.trials)] += tally_casts(
+                (seed, first, 0, self.head, self.trials, self.method, self.ratio)
+            )
         elif self.runs != 1 or (head.method, head.trials, head.ratio) != (self.method, self.head, self.ratio):
             raise ValueError(
                 f"join takes the head of a single run, {self.head} casts of the {self.method}; "

@@ -120,10 +120,10 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
     def test_worker_count_keeps_bytes_identical(self, monkeypatch, tmp_path, capsys, method):
-        # On two usable CPUs: at 2 workers this process draws two blocks and one
-        # child a block and a tail of 5 casts; at 3 workers this process draws
-        # the first block, and two children one block and the rest.
-        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        # On three usable CPUs: at 2 workers this process draws two blocks and
+        # one child a block and a tail of 5 casts; at 3 workers this process
+        # draws two blocks, and two children one block and the tail.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         outputs = {}
         for workers in ("1", "2", "3"):
             report = tmp_path / f"w{workers}.json"
@@ -311,6 +311,7 @@ class TestWorkers:
     def test_dead_worker_is_runtime_error(self, monkeypatch, capfd):
         # The forked child inherits the patched task and exits without a result.
         monkeypatch.setattr(estimators, "tally_casts", _die_in_worker)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
         rc = main(["estimate", "--trials", str(2 * 65536), "--seed", "1", "--workers", "2"])
         assert rc == 2
         err = capfd.readouterr().err
@@ -357,7 +358,7 @@ class TestWorkers:
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
     def test_ctrl_c_stops_a_long_batch_without_a_traceback(self):
-        # Four runs of 1e10 casts: two children, each tallying two runs as one task.
+        # Four runs of 1e10 casts: this process and one child each tally two runs as one task.
         argv = ["-m", "buffon.cli", "batch", "--runs", "4", "--trials", "10000000000", "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
@@ -383,15 +384,15 @@ class TestWorkers:
         ["estimate", "--trials", str(10 * 65536)],
         ["batch", "--runs", "100", "--trials", "1000"],
     ], ids=["estimate", "batch"])
-    def test_children_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv):
-        # 100000 workers on two usable CPUs fork two children, with the same
-        # output as one worker.  The recorder refuses a third fork, so this
-        # test never starts more than two processes.
+    def test_processes_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv):
+        # 100000 workers on two usable CPUs fork one child, with the same
+        # output as one worker.  The recorder refuses a second fork, so this
+        # test never starts more than one child.
         forks, fork = [], os.fork
 
         def recording_fork():
-            if len(forks) == 2:
-                raise AssertionError("a third worker process was forked")
+            if forks:
+                raise AssertionError("a second worker process was forked")
             forks.append(len(forks))
             return fork()
 
@@ -399,7 +400,7 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", recording_fork)
         assert main([*argv, "--seed", "1", "--workers", "100000"]) == 0
         capped = capsys.readouterr()
-        assert forks == [0, 1]
+        assert forks == [0]
         assert main([*argv, "--seed", "1", "--workers", "1"]) == 0
         assert capsys.readouterr() == capped
 
@@ -414,6 +415,8 @@ class TestWorkers:
         # A run of four blocks at two workers: this process draws two, and one
         # child the other two.  Every path ends with the child reaped, and
         # every error path in exit 2 with one line on stderr.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+
         def head(n, rng):
             raise KeyboardInterrupt if fault.startswith("Ctrl-C") else MemoryError
 

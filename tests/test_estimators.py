@@ -299,10 +299,19 @@ def _log_tasks(monkeypatch, log):
     monkeypatch.setattr(estimators, "tally_casts", logged)
 
 
+def _logged_tasks(log):
+    """The tasks logged by ``_log_tasks``, as ``(pid, stream, start, casts)``."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
+
+
 def _child_tasks(log):
-    """The tasks the children logged, as ``(pid, stream, start, casts)``: not those of this process."""
-    tasks = [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
-    return [task for task in tasks if task[0] != os.getpid()]
+    """The tasks the children logged: not those of this process."""
+    return [task for task in _logged_tasks(log) if task[0] != os.getpid()]
+
+
+def _own_tasks(log):
+    """The tasks this process logged."""
+    return [task for task in _logged_tasks(log) if task[0] == os.getpid()]
 
 
 class TestChunkedRuns:
@@ -342,11 +351,11 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
     def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, cpus):
-        # Blocks of 256 casts: at 2 workers this process draws 512 of the 1029
-        # casts and one child the other 517; at 3 workers it draws 256 and two
-        # children take 256 and 517.  The head is drawn by the caller, as the
-        # CLI does, or tallied by ``join()``.  A batch of 3 such runs goes to
-        # one child per worker, at most ``cpus`` of them, cut inside runs.
+        # Blocks of 256 casts: at 2 workers, or 3 on 2 CPUs, this process draws
+        # 768 of the 1029 casts and one child the other 261; at 3 workers on
+        # more CPUs it draws 512 and two children take 256 and 261.  The first
+        # share is drawn by the caller, as the CLI does, or tallied by
+        # ``join()``.  A batch of 3 such runs is cut the same way, inside runs.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         config, ratio = RngConfig(19, 4), 0.5 if method == "needle" else 1.0
@@ -363,23 +372,37 @@ class TestChunkedRuns:
         (1000, 4, 1000), (65536, 2, 65536), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
         (6_000_000, 3, 31 * 65536), (6_000_000, 1, 6_000_000),
     ])
-    def test_head_is_a_whole_block_share(self, trials, workers, head):
-        # A run of at most one block, or one worker, stays in this process.
+    def test_head_is_a_whole_block_share(self, monkeypatch, trials, workers, head):
+        # This process's share is the first of an even cut, rounded up to whole
+        # blocks: a run of at most one block, or one worker, stays here.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 4)
         assert SplitRun(trials, RngConfig(1, 0), workers=workers).head == head
 
+    def test_without_fork_one_process_draws_all(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        run = SplitRun(300001, RngConfig(1, 0), workers=4, runs=3)
+        assert (run.head, run._shares) == (900003, [(0, 900003)])
+
     def test_batch_runs_longer_than_a_block(self, monkeypatch, tmp_path):
-        # Blocks of 256 casts and runs of 1003: each child runs one task, a
-        # stretch of whole and cut runs, and the batch equals straight runs.
-        # One run at 2 workers is split between this process (2 blocks) and
-        # one child.
+        # Blocks of 256 casts and runs of 1003: each process runs one task, a
+        # stretch of whole and cut runs, this process's from the first cast;
+        # the tasks tile the batch, which equals straight runs.  One run at 2
+        # workers is split between this process (2 blocks) and one child.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
-        for runs, workers, children in [(3, 2, 2), (7, 3, 3), (1, 2, 1)]:
+        for runs, workers in [(3, 2), (7, 3), (1, 2)]:
             log = tmp_path / f"{runs}-{workers}"
             _log_tasks(monkeypatch, log)
             result = run_batch(runs, 1003, RngConfig(20, 0), workers=workers)
             tasks = _child_tasks(log)
-            assert len({pid for pid, *_ in tasks}) == len(tasks) == children
+            assert len({pid for pid, *_ in tasks}) == len(tasks) == workers - 1
+            own = [task[1:] for task in _own_tasks(log)]
+            assert len(own) == 1 and own[0][:2] == (0, 0)
+            edge = 0
+            for stream, start, casts in sorted(own + [task[1:] for task in tasks]):
+                assert (stream * 1003 + start, start % 256) == (edge, 0)
+                edge += casts
+            assert edge == runs * 1003
             for k in range(runs):
                 tally = run_triangle_trials(1003, RngConfig(20, k).stream())
                 assert result.estimates[k] == estimate_pi_triangle(tally).pi_estimate
@@ -387,11 +410,14 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_short_runs_go_whole_one_task_per_child(self, monkeypatch, tmp_path, workers):
         # 50 runs of 300 casts, shorter than a block, so every cut falls on a
-        # run's first cast: each child tallies whole runs as one task.
+        # run's first cast: each child tallies whole runs as one task, and this
+        # process the first runs.
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         _log_tasks(monkeypatch, tmp_path / "tasks")
         result = run_batch(50, 300, RngConfig(22, 0), workers=workers)
-        tasks = sorted(task[1:] for task in _child_tasks(tmp_path / "tasks"))
+        children = _child_tasks(tmp_path / "tasks")
+        assert len({pid for pid, *_ in children}) == len(children) == workers - 1
+        tasks = sorted(task[1:] for task in children + _own_tasks(tmp_path / "tasks"))
         assert len(tasks) == workers
         next_run = 0
         for stream, start, casts in tasks:
@@ -402,7 +428,7 @@ class TestChunkedRuns:
 
     def test_children_take_equal_shares_of_the_casts(self, monkeypatch, tmp_path):
         # 20 runs of 300001 casts at 2 workers: the cut falls halfway, on run
-        # 10's first cast, so each child takes ten runs.
+        # 10's first cast, so this process and one child take ten runs each.
         log = tmp_path / "casts"
 
         def stand_in(task):
@@ -420,12 +446,12 @@ class TestChunkedRuns:
         assert sorted(shares.values()) == [10 * 300001, 10 * 300001]
 
     def test_a_long_split_run_gives_each_child_one_task(self, monkeypatch):
-        # 1e10 casts at 3 workers on 2 CPUs: each stand-in task tallies
+        # 1e10 casts at 4 workers on 3 CPUs: each stand-in task tallies
         # (1, its casts, 0), so the join counts tasks and casts.  Two children
         # get one task each, so what a child holds does not grow with the run.
         monkeypatch.setattr(estimators, "tally_casts", _count_task)
-        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
-        with SplitRun(10**10, RngConfig(1, 0), workers=3) as run:
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        with SplitRun(10**10, RngConfig(1, 0), workers=4) as run:
             (tally,) = run.join(Tally("triangle", run.head, (0, 0, 0)))
         count_x, count_y, _ = tally.counts
         assert tally.trials == 10**10
@@ -434,6 +460,7 @@ class TestChunkedRuns:
 
     @settings(max_examples=300, deadline=None)
     @example(trials=10**6, runs=1, workers=4, cpus=2, method="triangle")
+    @example(trials=10**6, runs=1, workers=100000, cpus=2, method="triangle")
     @given(
         trials=st.integers(1, 3 * 10**6) | st.sampled_from([7, 65536, 65537, 70003, 300001, 10**10]),
         runs=st.integers(1, 50),
@@ -443,19 +470,22 @@ class TestChunkedRuns:
     )
     def test_shares_cover_every_cast_once_in_balanced_block_aligned_pieces(self, trials, runs, workers, cpus, method):
         # Positions p in the runs laid end to end are the casts (p // trials,
-        # p % trials): the head is [0, head * runs), and the children's shares
+        # p % trials): this process's share is [0, head), and the children's
         # follow it end to end up to the last run's last cast.
         block = estimators._BLOCK
         with mock.patch.object(estimators, "_usable_cpus", lambda: cpus):
             run = SplitRun(trials, RngConfig(1, 0), method, workers=workers, runs=runs)
-            shares = run._shares()
-        edges = [run.head * runs] + [stop for _, stop in shares]
+        shares = run._shares
+        edges = [0] + [stop for _, stop in shares]
+        assert shares[0] == (0, run.head)
         assert [start for start, _ in shares] == edges[:-1]
         assert edges[-1] == trials * runs
         assert all(start < stop and start % trials % block == 0 for start, stop in shares)
         assert len(shares) <= min(workers, cpus)
         sizes = [stop - start for start, stop in shares]
-        assert not sizes or max(sizes) - min(sizes) <= 2 * block
+        assert max(sizes) - min(sizes) <= 2 * block
+        if runs == 1 and trials <= block:
+            assert len(shares) == 1
 
     def test_split_run_validation(self):
         for args, kwargs in [
@@ -487,11 +517,13 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("drawn_by", ["join", "caller"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
     def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, error, drawn_by):
-        # Forty blocks at two workers: this process's head of twenty, and one
-        # child's task of the other twenty, ten seconds of work.  The head
-        # raises at once, in ``join()``'s own tally or in the caller's block.
-        # The error comes out, and the child is killed and reaped at once.
+        # Forty blocks at two workers: this process's share of twenty, and one
+        # child's task of the other twenty, ten seconds of work.  This
+        # process's share raises at once, in ``join()``'s own tally or in the
+        # caller's block.  The error comes out, and the child is killed and
+        # reaped at once.
         parent, trials = os.getpid(), 40 * estimators._BLOCK
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
 
         def stand_in(task):
             if os.getpid() == parent:
@@ -500,7 +532,7 @@ class TestChunkedRuns:
             return [(0, 0, 0)]
 
         monkeypatch.setattr(estimators, "tally_casts", stand_in)
-        assert SplitRun(trials, RngConfig(1, 0), workers=2)._shares() == [(trials // 2, trials)]
+        assert SplitRun(trials, RngConfig(1, 0), workers=2)._shares == [(0, trials // 2), (trials // 2, trials)]
         started = time.monotonic()
         with pytest.raises(error):
             with SplitRun(trials, RngConfig(1, 0), workers=2) as run:
