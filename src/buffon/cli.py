@@ -13,10 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DegenerateSampleError, WorkerDiedError
 from .estimators import (
+    DegenerateSampleError,
     SplitRun,
     Tally,
+    WorkerDiedError,
     _usable_cpus,
     estimate_pi_needle,
     estimate_pi_triangle,
@@ -165,20 +166,15 @@ def cmd_render(args) -> int:
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    parts = [p for p in text.replace(",", "x").split("x") if p]
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [int(p) for p in text.replace(",", "x").split("x") if p]
     except ValueError:
+        numbers = []
+    if not 1 <= len(numbers) <= 3:
         raise ValueError(f"bad --resolution {text!r}; use THETA, THETAxOFFSET or THETAxOFFSETxOFFSET")
-    if len(numbers) == 1:
-        return numbers[0], numbers[0]
-    if len(numbers) == 2:
-        return numbers[0], numbers[1]
-    if len(numbers) == 3:
-        if numbers[1] != numbers[2]:
-            raise ValueError("the two offset lattice sizes must be equal")
-        return numbers[0], numbers[1]
-    raise ValueError(f"bad --resolution {text!r}; use THETA, THETAxOFFSET or THETAxOFFSETxOFFSET")
+    if len(numbers) == 3 and numbers[1] != numbers[2]:
+        raise ValueError("the two offset lattice sizes must be equal")
+    return numbers[0], numbers[-1]
 
 
 def cmd_validate(args) -> int:

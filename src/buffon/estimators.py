@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, WorkerDiedError
 from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
 from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
 
@@ -48,6 +47,15 @@ from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_colu
 _BLOCK = 1 << 16
 # The trial loop's workspace, one per thread (see ``_workspace``).
 _local = threading.local()
+
+
+class DegenerateSampleError(RuntimeError):
+    """Raised when a sample contains no crossings/hits, so the reciprocal
+    estimate would divide by zero."""
+
+
+class WorkerDiedError(RuntimeError):
+    """Raised when a worker process dies, or exits without all of its tally rows."""
 
 
 @dataclass(frozen=True)

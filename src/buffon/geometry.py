@@ -165,7 +165,7 @@ def _axis_crossings(a, b, c, offset, spacing):
     return 2 * lines.astype(np.int64)
 
 
-def filtered_crossings(rotation, offset_x, offset_y, out=None):
+def filtered_crossings(rotation, offset_x, offset_y, out):
     """Crossings of a block of casts, ``(count_x, count_y, near)``, through a float32 filter.
 
     The casts are unit triangles centered at the origin, at angles
@@ -176,11 +176,11 @@ def filtered_crossings(rotation, offset_x, offset_y, out=None):
     within ``FILTER_GUARD`` of a line, whose counts come from that float64
     path.
 
-    ``out`` is a ``filter_workspace`` for at least as many casts (one is made
-    when omitted); every per-cast array, the results too, is written there.
+    ``out`` is a ``filter_workspace`` for at least as many casts; every
+    per-cast array, the results too, is written there.
     """
     m = len(rotation)
-    rows, near = filter_workspace(m) if out is None else (out[0][:, :m], out[1][:m])
+    rows, near = out[0][:, :m], out[1][:m]
     extents = float32_extents(rotation, offset_x, offset_y, rows)
     # |fraction - 1/2| is 1/2 less the distance to the nearest integer, so a
     # cast is near a line iff its largest such value exceeds 1/2 - FILTER_GUARD.
@@ -207,15 +207,14 @@ def filter_workspace(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((7, m), dtype=np.float32), np.empty(m, dtype=bool)
 
 
-def float32_extents(rotation, offset_x, offset_y, out=None):
+def float32_extents(rotation, offset_x, offset_y, out):
     """The filter's float32 ``(hi_x - offset_x, lo_x - offset_x, hi_y - offset_y, lo_y - offset_y)``.
 
     For the unit casts of ``filtered_crossings``.  The vertices are built as
     ``make_triangle`` builds them, in float32, and ``hi``/``lo`` are their
-    largest and smallest coordinates.  The results are rows of ``out``, six
-    float32 rows (made when omitted); rows 1 and 2 end free.
+    largest and smallest coordinates.  The results are rows of ``out``, at
+    least six float32 rows as long as ``rotation``; rows 1 and 2 end free.
     """
-    out = np.empty((6, len(rotation)), dtype=np.float32) if out is None else out
     # Python float constants act in float32 on float32 arrays.
     c = out[0]
     np.copyto(c, rotation, casting="same_kind")

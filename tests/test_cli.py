@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -296,6 +297,28 @@ class TestValidateCommand:
         assert main(["validate", "--resolution", "abc"]) == 1
         assert main(["validate", "--resolution", "360x200x100"]) == 1
 
+    @pytest.mark.parametrize("text, sizes", [
+        ("8", (8, 8)),
+        ("16x8", (16, 8)),
+        ("360x200x200", (360, 200)),
+        ("8,,8", (8, 8)),
+        ("+5x 6", (5, 6)),
+        ("8xx8x8", (8, 8)),
+    ])
+    def test_resolution_strings(self, text, sizes):
+        # Commas act as x and empty fields are skipped.
+        assert cli._parse_resolution(text) == sizes
+
+    @pytest.mark.parametrize("text", ["1x2x3x4", "x", "", "abc", "8x1e3"])
+    def test_resolution_without_one_to_three_integers_is_rejected(self, text):
+        with pytest.raises(ValueError) as info:
+            cli._parse_resolution(text)
+        assert str(info.value) == f"bad --resolution {text!r}; use THETA, THETAxOFFSET or THETAxOFFSETxOFFSET"
+
+    def test_resolution_with_unequal_offset_sizes_is_rejected(self):
+        with pytest.raises(ValueError, match="^the two offset lattice sizes must be equal$"):
+            cli._parse_resolution("360x200x100")
+
 
 class TestWorkers:
     def test_default_is_the_usable_cpus(self):
@@ -543,3 +566,19 @@ class TestTopLevel:
         ).stdout.split()
         unwanted = {"concurrent", "multiprocessing", "secrets", "logging", "socket", "queue"}
         assert [m for m in modules if m.split(".")[0] in unwanted] == []
+
+    def test_importing_the_package_loads_nothing_else(self):
+        # Names are imported from their own modules, so the package needs no
+        # submodule and no numpy; its version is the project's, which the
+        # benchmark's host record reports.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        code = "import sys, buffon; print(buffon.__file__, buffon.__version__, *sys.modules)"
+        where, version, *modules = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert Path(where).parent == SRC / "buffon"
+        assert [m for m in modules if m.startswith("buffon.") or m.split(".")[0] == "numpy"] == []
+        # The [project] table runs to the next table header; no tomllib on Python 3.10.
+        table = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        assert version == re.search(r'^version\s*=\s*"([^"]+)"', table, re.M).group(1)

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import buffon.estimators as estimators
-from buffon.errors import DegenerateSampleError
 from buffon.estimators import (
+    DegenerateSampleError,
     SplitRun,
     SummaryStats,
     Tally,
@@ -25,7 +25,7 @@ from buffon.estimators import (
     summarize,
     tally_casts,
 )
-from buffon.geometry import FILTER_GUARD, crossings_per_cast, filtered_crossings, make_triangle
+from buffon.geometry import FILTER_GUARD, crossings_per_cast, filter_workspace, filtered_crossings, make_triangle
 from buffon.sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
 
 from conftest import StubStream, brute_force_tally
@@ -70,7 +70,7 @@ class TestRunTriangleTrials:
         for seed in (0, 1, 42):
             tally = run_triangle_trials(300_000, RngConfig(seed, 0).stream())
             casts = draw_casts(RngConfig(seed, 0).stream(), 300_000)
-            near = filtered_crossings(*casts)[2]
+            near = filtered_crossings(*casts, filter_workspace(300_000))[2]
             unit, scaled = _float64_counts(*casts), _float64_counts(*casts, spacing)
             count_x, count_y = (np.where(near, u, s) for u, s in zip(unit, scaled))
             total = count_x + count_y

@@ -11,6 +11,7 @@ from buffon.geometry import (
     GridSpec,
     TriangleSpec,
     crossings_per_cast,
+    filter_workspace,
     filtered_crossings,
     float32_extents,
     make_triangle,
@@ -315,7 +316,7 @@ class TestFilteredCrossings:
             rng = RngConfig(seed, 0).stream()
             for _ in range(4):
                 rotation, offset_x, offset_y = draw_casts(rng, 1 << 18)
-                count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y)
+                count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y, filter_workspace(len(rotation)))
                 exact_x, exact_y = _float64_counts(rotation, offset_x, offset_y, spacing)
                 same = (count_x == exact_x) & (count_y == exact_y)
                 assert same.all() if spacing == 1.0 else same[~near].all()
@@ -324,7 +325,7 @@ class TestFilteredCrossings:
         # Four quantities per cast, each near a line with probability
         # 2 * FILTER_GUARD: about 0.2% of casts.
         rotation, offset_x, offset_y = _random_casts(59, 1 << 20)
-        near = filtered_crossings(rotation, offset_x, offset_y)[2]
+        near = filtered_crossings(rotation, offset_x, offset_y, filter_workspace(len(rotation)))[2]
         assert 0.001 < near.mean() < 0.01
 
     def test_float32_error_is_far_inside_the_guard(self):
@@ -339,7 +340,7 @@ class TestFilteredCrossings:
             exact = []
             for coords, offset in (((x0, x1, x2), offset_x), ((y0, y1, y2), offset_y)):
                 exact += [np.maximum.reduce(coords) - offset, np.minimum.reduce(coords) - offset]
-            for got, want in zip(float32_extents(rotation, offset_x, offset_y), exact):
+            for got, want in zip(float32_extents(rotation, offset_x, offset_y, filter_workspace(chunk)[0]), exact):
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < FILTER_GUARD / 64, f"float32 error {worst:.3g} against a guard of {FILTER_GUARD:.3g}"
 
@@ -361,7 +362,7 @@ class TestFilteredCrossings:
         offsets[axis] = (float(v[vertex][axis]) + shift) % 1.0
         assume(offsets[axis] < 1.0)
         cast = [np.array([rotation]), np.array([offsets[0]]), np.array([offsets[1]])]
-        count_x, count_y, near = filtered_crossings(*cast)
+        count_x, count_y, near = filtered_crossings(*cast, filter_workspace(1))
         assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast))
         if not near[0]:
             assert (count_x[0], count_y[0]) == tuple(c[0] for c in _float64_counts(*cast, spacing))
