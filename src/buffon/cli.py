@@ -278,7 +278,31 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    """Entry point of ``python -m buffon.cli`` and of the ``buffon`` script.
+
+    Runs ``main()``, flushes stdout and stderr, and ends the process with
+    ``os._exit``, so no command pays the interpreter's teardown (a final
+    garbage collection and the freeing of every module, ~30 ms).  Nothing is
+    lost: every file a command writes is closed before ``main()`` returns,
+    and buffon registers no ``atexit`` handler.  A stdout that cannot take
+    the last of the output (its reader gone) turns a success into one
+    ``error: ...`` line and exit 2; a failed command keeps its own code and
+    line.  ``main()`` itself never ends the process.
+    """
+    code = main()
+    try:
+        try:
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()
+        except OSError as exc:
+            if code == 0:
+                code = _FAILURE_EXIT
+                print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # stderr is gone too, so there is no one to tell
+        code = code or _FAILURE_EXIT
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -582,3 +582,121 @@ class TestTopLevel:
         # The [project] table runs to the next table header; no tomllib on Python 3.10.
         table = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
         assert version == re.search(r'^version\s*=\s*"([^"]+)"', table, re.M).group(1)
+
+
+class TestEntryPoint:
+    """``app()``, behind ``python -m buffon.cli`` and the ``buffon`` script,
+    flushes stdout and stderr and ends the process with ``os._exit``."""
+
+    @staticmethod
+    def _run(argv, cwd, **streams):
+        """Run ``python -m buffon.cli argv`` in a fresh interpreter with ``src``
+        first on the path.  PYTHONUNBUFFERED is dropped: it would hide output
+        left in a buffer when the process ends."""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run(argv, cwd=cwd, env=env, timeout=120, **streams)
+
+    @staticmethod
+    def _files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate", "--trials", "200000", "--seed", "3", "--json", "report.json"], 0),
+        (["estimate", "--method", "needle", "--ratio", "0.5", "--trials", "200000", "--seed", "3",
+          "--json", "report.json"], 0),
+        (["batch", "--runs", "20", "--trials", "10000", "--seed", "3", "--workers", "2",
+          "--csv", "runs.csv", "--svg", "histogram.svg"], 0),
+        (["validate"], 0),
+        (["render", "--images", "2", "--seed", "3"], 0),
+        (["estimate", "--method", "square"], 1),
+        (["estimate", "--trials", "1000", "--seed", "3", "--json", "missing/report.json"], 2),
+    ], ids=["estimate", "needle", "batch", "validate", "render", "usage-error", "missing-directory"])
+    def test_a_fresh_interpreter_matches_main(self, monkeypatch, tmp_path, capsys, argv, code):
+        # Same stdout, stderr, exit code and files as main() in this process.
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        with open(tmp_path / "stdout", "wb") as out, open(tmp_path / "stderr", "wb") as err:
+            done = self._run([sys.executable, "-m", "buffon.cli", *argv], fresh, stdout=out, stderr=err)
+        monkeypatch.chdir(here)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert done.returncode == code
+        assert (tmp_path / "stdout").read_text(encoding="utf-8") == captured.out
+        assert (tmp_path / "stderr").read_text(encoding="utf-8") == captured.err
+        assert self._files(fresh) == self._files(here)
+
+    def test_a_broken_stdout_pipe_is_one_error_line_and_exit_2(self, tmp_path):
+        # The reader is gone before the command writes; its output waits in
+        # stdout's buffer until the final flush fails.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self._run(
+                [sys.executable, "-m", "buffon.cli", "estimate", "--trials", "1000", "--seed", "1"],
+                tmp_path, stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_a_closed_stdout_still_writes_the_report_and_exits_0(self, tmp_path):
+        # Started with stdout closed (``>&-``), the interpreter has sys.stdout = None.
+        argv = [sys.executable, "-m", "buffon.cli", "estimate", "--trials", "1000", "--seed", "1", "--json", "r.json"]
+        done = self._run(["sh", "-c", 'exec "$0" "$@" >&-', *argv], tmp_path, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["trials"] == 1000
+
+    @pytest.mark.parametrize("returned, flush_error, code, err", [
+        (0, None, 0, ""),
+        (1, None, 1, ""),
+        (2, None, 2, ""),
+        (0, BrokenPipeError(32, "Broken pipe"), 2, "error: [Errno 32] Broken pipe\n"),
+        (2, BrokenPipeError(32, "Broken pipe"), 2, ""),
+    ], ids=["success", "usage-error", "failure", "broken-pipe", "failure-then-broken-pipe"])
+    def test_app_flushes_both_streams_then_ends_the_process(self, monkeypatch, returned, flush_error, code, err):
+        # A failed command has already printed its one error line, so a stdout
+        # that then fails to flush adds none.
+        events = []
+
+        class Stream:
+            def __init__(self, name, error=None):
+                self.name, self.error, self.text = name, error, ""
+
+            def write(self, text):
+                self.text += text
+
+            def flush(self):
+                events.append(f"flush {self.name}")
+                if self.error:
+                    raise self.error
+
+        class Ended(Exception):
+            pass
+
+        def end(status):
+            events.append(("exit", status))
+            raise Ended
+
+        stderr = Stream("stderr")
+        monkeypatch.setattr(sys, "stdout", Stream("stdout", flush_error))
+        monkeypatch.setattr(sys, "stderr", stderr)
+        monkeypatch.setattr(os, "_exit", end)
+        monkeypatch.setattr(cli, "main", lambda: returned)
+        with pytest.raises(Ended):
+            cli.app()
+        assert events == ["flush stdout", "flush stderr", ("exit", code)]
+        assert stderr.text == err
+
+    def test_main_returns_without_ending_the_process(self, monkeypatch, capsys):
+        # One worker, so no child process (which ends with os._exit) is forked.
+        def end(status):
+            raise AssertionError(f"main() ended the process with {status}")
+
+        monkeypatch.setattr(os, "_exit", end)
+        assert main(["estimate", "--trials", "1000", "--seed", "1", "--workers", "1"]) == 0
+        assert main(["estimate", "--trials", "0", "--seed", "1"]) == 1
+        assert main(["--help"]) == 0
+        assert "pi estimate = " in capsys.readouterr().out
