@@ -1,8 +1,8 @@
 """Command-line front end: estimate, batch, render and validate subcommands.
 
-Every subcommand echoes its seed, and identical flags (seed included)
-produce byte-identical machine-readable outputs.  Exit codes: 0 success,
-1 usage error, 2 runtime or validation failure.
+Every subcommand that draws random numbers echoes its seed, and identical
+flags (seed included) produce byte-identical machine-readable outputs.
+Exit codes: 0 success, 1 usage error, 2 runtime or validation failure.
 """
 
 from __future__ import annotations
@@ -34,12 +34,21 @@ _USAGE_EXIT = 1
 _FAILURE_EXIT = 2
 
 
+def _to_stderr(text: str) -> None:
+    """Print ``text`` on stderr, or nothing if stderr is closed (None) or unwritable: never on stdout."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+        except OSError:
+            pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; remap usage errors to 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(_USAGE_EXIT)
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -133,7 +142,7 @@ def cmd_batch(args) -> int:
         bins=args.bins,
         workers=args.workers,
     )
-    print(f"runs = {result.runs}  trials/run = {result.trials_per_run}")
+    print(f"runs = {args.runs}  trials/run = {args.trials}")
     print(
         f"mean = {result.mean:.6f}  stddev = {result.stddev:.6f}  "
         f"95% CI = [{result.ci_low:.6f}, {result.ci_high:.6f}]"
@@ -264,16 +273,16 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return _USAGE_EXIT
     except (DegenerateSampleError, WorkerDiedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return _FAILURE_EXIT
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _to_stderr(f"error: out of memory: {exc}")
         return _FAILURE_EXIT
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _to_stderr("error: interrupted")
         return _FAILURE_EXIT
 
 
@@ -297,7 +306,7 @@ def app() -> None:
         except OSError as exc:
             if code == 0:
                 code = _FAILURE_EXIT
-                print(f"error: {exc}", file=sys.stderr)
+                _to_stderr(f"error: {exc}")
         if sys.stderr is not None:
             sys.stderr.flush()
     except OSError:  # stderr is gone too, so there is no one to tell

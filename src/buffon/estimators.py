@@ -121,22 +121,20 @@ class EstimateSummary:
 
 
 @dataclass(frozen=True)
-class SummaryStats:
+class BatchResult:
+    """Per-run estimates of one batch, a histogram of them, and their mean, spread and 95% interval.
+
+    ``stddev`` is the sample standard deviation (0.0 for a single run), and
+    the interval is the normal ``mean -/+ 1.96 * standard_error``.
+    """
+
+    estimates: tuple[float, ...]
+    histogram: tuple[tuple[float, float, int], ...]
     mean: float
     stddev: float
     standard_error: float
     ci_low: float
     ci_high: float
-
-
-@dataclass(frozen=True)
-class BatchResult(SummaryStats):
-    """Per-run estimates of one batch, their ``summarize`` statistics and a histogram."""
-
-    runs: int
-    trials_per_run: int
-    estimates: tuple[float, ...]
-    histogram: tuple[tuple[float, float, int], ...]
 
 
 def _tally_runs(rng, n: int, method: str, *, ratio=1.0, start=0, casts=None, rekey=None) -> np.ndarray:
@@ -298,10 +296,10 @@ def tally_casts(task: tuple[int, int, int, int, int, str, float]) -> np.ndarray:
     """
     seed, stream, start_cast, casts, trials, method, ratio = task
     uniforms = UNIFORMS_PER_CAST if method == "triangle" else UNIFORMS_PER_DROP
-    rng = RngConfig(seed, stream).stream(start_cast, uniforms)
+    rng = RngConfig(seed, stream).stream(start_cast * uniforms)
     return _tally_runs(
         rng, trials, method, ratio=ratio, start=start_cast, casts=casts,
-        rekey=lambda i: RngConfig(seed, stream + i).rekey(rng.bit_generator, 0, uniforms),
+        rekey=lambda i: RngConfig(seed, stream + i).rekey(rng.bit_generator),
     )
 
 
@@ -453,7 +451,7 @@ def run_batch(
     bins: int = 40,
     workers: int = 1,
 ) -> BatchResult:
-    """R independent runs, run k on stream ``config.stream_id + k``; estimates, statistics, histogram.
+    """R independent runs, run k on stream ``config.stream_id + k``; their estimates, histogram and statistics.
 
     Results are a pure function of (seed, stream, runs, trials, method, ratio,
     bins): workers only controls parallelism, never values or ordering.
@@ -468,21 +466,10 @@ def run_batch(
     histogram = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
     )
-    return BatchResult(
-        **vars(summarize(values)), runs=runs, trials_per_run=trials, estimates=tuple(values.tolist()), histogram=histogram
-    )
-
-
-def summarize(estimates) -> SummaryStats:
-    """Unbiased sample statistics with a normal 95% confidence interval.
-
-    The stddev of a single value is reported as 0.0.
-    """
-    values = np.asarray(estimates, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot summarize an empty list of estimates")
     mean = float(values.mean())
     stddev = float(values.std(ddof=1)) if values.size > 1 else 0.0
     standard_error = stddev / math.sqrt(values.size)
     half_width = 1.96 * standard_error
-    return SummaryStats(mean, stddev, standard_error, mean - half_width, mean + half_width)
+    return BatchResult(
+        tuple(values.tolist()), histogram, mean, stddev, standard_error, mean - half_width, mean + half_width
+    )

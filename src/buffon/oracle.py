@@ -27,20 +27,14 @@ _SLAB_POINTS = 1 << 20
 _MAX_POINTS = 1 << 40
 
 
-def expected_crossings_quadrature(
-    grid_points_theta: int = 360,
-    grid_points_offset: int = 200,
-    *,
-    theta_origin: float = 0.0,
-) -> float:
+def expected_crossings_quadrature(grid_points_theta: int = 360, grid_points_offset: int = 200) -> float:
     """Average crossings per cast over a deterministic rotation/offset lattice.
 
-    Rotation runs over the cell midpoints of one symmetry period
-    [theta_origin, theta_origin + 2*pi/3); each offset runs over the uniform
-    lattice {k * spacing / n}.  The x count depends only on (rotation,
-    offset_x) and the y count only on (rotation, offset_y), so pairing the
-    two offset lattices point-for-point reproduces the full 3D lattice
-    average at a fraction of the evaluations.  The lattice is counted in
+    Rotation runs over the cell midpoints of one symmetry period [0, 2*pi/3);
+    each offset runs over the uniform lattice {k * spacing / n}.  The x count
+    depends only on (rotation, offset_x) and the y count only on (rotation,
+    offset_y), so pairing the two offset lattices point-for-point reproduces
+    the full 3D lattice average at a fraction of the evaluations.  The lattice is counted in
     slabs of at most ``_SLAB_POINTS`` points: whole rotation rows where a row
     fits in a slab, otherwise pieces of one row.  A row's crossing total is an
     integer summed over its pieces, so the slab size never changes the
@@ -60,7 +54,7 @@ def expected_crossings_quadrature(
     # The float total depends on summation order: add per-theta means left to right.
     total = 0.0
     for first in range(0, grid_points_theta, rows):
-        theta = theta_origin + (np.arange(first, min(first + rows, grid_points_theta)) + 0.5) * d_theta
+        theta = (np.arange(first, min(first + rows, grid_points_theta)) + 0.5) * d_theta
         vertices = make_triangle((0.0, 0.0), 1.0, theta[:, np.newaxis])
         row_crossings = np.zeros(theta.size, dtype=np.int64)
         for start in range(0, grid_points_offset, columns):

@@ -5,18 +5,18 @@ keyed with the uint64 pair ``(s, k)``, so any subset of runs can be drawn
 independently, in any order and on any number of workers, with identical
 results.
 
-A stream can also start part-way, at any draw whose first uniform falls on
-a Philox counter boundary.  Philox makes four 64-bit words per counter step
-and each uniform takes one word.  A triangle cast takes
-``UNIFORMS_PER_CAST = 3`` uniforms, so cast ``c`` starts at counter
-``3c/4``; a needle drop takes ``UNIFORMS_PER_DROP = 2``, so drop ``d``
-starts at counter ``d/2``.  ``stream(first_draw, uniforms_per_draw)`` keys
-a fresh generator there, and ``rekey`` keys an existing one, its buffer of
-unused words cleared, so one generator re-keyed from stream to stream draws
-what fresh streams would.  Both need ``first_draw * uniforms_per_draw`` to
-be a multiple of 4.  Chunks of a run that start at a multiple of 4 draws
-(the estimators cut runs at multiples of their block size) therefore draw
-exactly the casts of one straight pass over the stream.
+A stream can also start part-way, at any uniform on a Philox counter
+boundary.  Philox makes four 64-bit words per counter step and each
+uniform takes one word, so uniform ``u`` starts at counter ``u/4`` when
+``u`` is a multiple of 4.  A triangle cast takes ``UNIFORMS_PER_CAST = 3``
+uniforms, so cast ``c`` starts at uniform ``3c``; a needle drop takes
+``UNIFORMS_PER_DROP = 2``, so drop ``d`` starts at uniform ``2d``.
+``stream(first_uniform)`` keys a fresh generator there, and ``rekey`` keys
+an existing one, its buffer of unused words cleared, so one generator
+re-keyed from stream to stream draws what fresh streams would.  Chunks of
+a run that start at a multiple of 4 draws (the estimators cut runs at
+multiples of their block size) therefore draw exactly the casts of one
+straight pass over the stream.
 """
 
 from __future__ import annotations
@@ -50,24 +50,19 @@ class RngConfig:
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
-    def stream(self, first_draw: int = 0, uniforms_per_draw: int = UNIFORMS_PER_CAST) -> np.random.Generator:
-        """A fresh generator positioned at draw ``first_draw`` of this stream (see ``rekey``)."""
-        return np.random.Generator(self.rekey(np.random.Philox(key=0), first_draw, uniforms_per_draw))
+    def stream(self, first_uniform: int = 0) -> np.random.Generator:
+        """A fresh generator positioned at uniform ``first_uniform`` of this stream (see ``rekey``)."""
+        return np.random.Generator(self.rekey(np.random.Philox(key=0), first_uniform))
 
-    def rekey(self, bit_generator, first_draw: int = 0, uniforms_per_draw: int = UNIFORMS_PER_CAST):
-        """Key the Philox ``bit_generator`` to this stream at draw ``first_draw``, its buffer cleared; returns it.
+    def rekey(self, bit_generator, first_uniform: int = 0):
+        """Key the Philox ``bit_generator`` to this stream at uniform ``first_uniform``, its buffer cleared; returns it.
 
-        Each draw takes ``uniforms_per_draw`` uniforms, and the draw must start
-        on a Philox counter boundary (``first_draw * uniforms_per_draw`` a
-        multiple of 4).
+        The uniform must start a Philox counter step: ``first_uniform`` a
+        nonnegative multiple of 4.
         """
-        start = first_draw * uniforms_per_draw
-        if first_draw < 0 or start % _UNIFORMS_PER_STEP:
-            raise ValueError(
-                f"draw {first_draw} of {uniforms_per_draw} uniforms does not start on "
-                f"a nonnegative multiple of 4 uniforms"
-            )
-        step = start // _UNIFORMS_PER_STEP
+        if first_uniform < 0 or first_uniform % _UNIFORMS_PER_STEP:
+            raise ValueError(f"uniform {first_uniform} is not a nonnegative multiple of 4")
+        step = first_uniform // _UNIFORMS_PER_STEP
         # uint64 arrays: a list with one value at or above 2**63 and one below
         # would become float64 and round the key.
         counter = np.array([(step >> shift) & _UINT64_MAX for shift in (0, 64, 128, 192)], dtype=np.uint64)

@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line (visible with ``pytest -s``).
 
-The full-scale batch (criterion 1) walks a billion casts and takes a few
-minutes of CPU; everything else finishes in seconds.
+The full-scale batch (criterion 1) walks a billion casts, about 35 s of
+CPU on a 2-core Xeon; everything else finishes in seconds.
 """
 
 import math

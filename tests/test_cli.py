@@ -649,6 +649,21 @@ class TestEntryPoint:
         assert (done.returncode, done.stderr) == (0, b"")
         assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["trials"] == 1000
 
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate", "--trials", "0", "--seed", "1"], 1),
+        (["estimate", "--bogus"], 1),
+        (["estimate", "--trials", "1000", "--seed", "1", "--json", "missing/report.json"], 2),
+    ], ids=["zero-trials", "unknown-flag", "missing-directory"])
+    def test_an_unwritable_stderr_keeps_errors_off_stdout(self, tmp_path, redirect, argv, code):
+        # Closed, stderr is None; opened read-only, each write to it fails.
+        # Either way no diagnostic moves to stdout and the exit code holds.
+        argv = [sys.executable, "-m", "buffon.cli", *argv]
+        done = self._run(["sh", "-c", f'exec "$0" "$@" {redirect}', *argv], tmp_path, stdout=subprocess.PIPE)
+        lines = done.stdout.decode().splitlines()
+        assert [line for line in lines if line.startswith(("error:", "usage:"))] == []
+        assert done.returncode == code
+
     @pytest.mark.parametrize("returned, flush_error, code, err", [
         (0, None, 0, ""),
         (1, None, 1, ""),

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import math
 import os
+import statistics
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,14 +17,12 @@ import buffon.estimators as estimators
 from buffon.estimators import (
     DegenerateSampleError,
     SplitRun,
-    SummaryStats,
     Tally,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
     run_needle_trials,
     run_triangle_trials,
-    summarize,
     tally_casts,
 )
 from buffon.geometry import FILTER_GUARD, crossings_per_cast, filter_workspace, filtered_crossings, make_triangle
@@ -164,8 +164,8 @@ class TestRunNeedleTrials:
     @pytest.mark.parametrize("ratio", [0.5, 1.0])
     def test_hits_equal_the_float64_path(self, ratio):
         for seed in (1, 2):
-            tally = run_needle_trials(1_000_000, RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP), ratio)
-            u = RngConfig(seed, 0).stream(0, UNIFORMS_PER_DROP).random(2_000_000).reshape(-1, 2)
+            tally = run_needle_trials(1_000_000, RngConfig(seed, 0).stream(), ratio)
+            u = RngConfig(seed, 0).stream().random(2_000_000).reshape(-1, 2)
             assert tally.counts == (int(np.count_nonzero(ratio / 2 * np.sin(math.pi * u[:, 1]) >= 0.5 * u[:, 0])),)
 
     @given(
@@ -233,10 +233,6 @@ class TestRunBatch:
         assert len(result.histogram) == 12
         assert sum(count for _, _, count in result.histogram) == 50
         assert result.mean == pytest.approx(float(np.mean(result.estimates)), rel=1e-12)
-        # The batch carries the statistics of its estimates.
-        assert summarize(result.estimates) == SummaryStats(
-            result.mean, result.stddev, result.standard_error, result.ci_low, result.ci_high
-        )
 
     def test_needle_batch(self):
         result = run_batch(5, 20_000, RngConfig(17, 0), "needle", ratio=0.75)
@@ -684,31 +680,36 @@ class TestWorkspace:
 
 
 class TestSummarize:
-    def test_constant_list(self):
-        stats = summarize([3.0, 3.0, 3.0])
-        assert stats.mean == 3.0
-        assert stats.stddev == 0.0
-        assert stats.ci_low == stats.ci_high == 3.0
+    """``run_batch``'s summary of its estimates: mean, spread and 95% interval."""
 
-    def test_two_values(self):
-        stats = summarize([2.0, 4.0])
-        assert stats.mean == 3.0
-        assert stats.stddev == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert stats.standard_error == pytest.approx(1.0, rel=1e-12)
-        assert stats.ci_low == pytest.approx(3.0 - 1.96, rel=1e-12)
-        assert stats.ci_high == pytest.approx(3.0 + 1.96, rel=1e-12)
+    def test_fields_match_the_estimates(self):
+        result = run_batch(50, 1000, RngConfig(16, 0))
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "estimates", "histogram", "mean", "stddev", "standard_error", "ci_low", "ci_high"
+        ]
+        assert result.mean == pytest.approx(statistics.fmean(result.estimates), rel=1e-12)
+        assert result.stddev == pytest.approx(statistics.stdev(result.estimates), rel=1e-12)
+        assert result.standard_error == result.stddev / math.sqrt(50)
+        assert (result.ci_low, result.ci_high) == (
+            result.mean - 1.96 * result.standard_error, result.mean + 1.96 * result.standard_error
+        )
+
+    def test_single_run_has_no_spread(self):
+        result = run_batch(1, 1000, RngConfig(16, 0))
+        assert result.mean == result.estimates[0]
+        assert result.stddev == result.standard_error == 0.0
+        assert result.ci_low == result.ci_high == result.mean
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            run_batch(0, 1000, RngConfig(16, 0))
 
     def test_confidence_interval_coverage(self):
         # 100 scaled-down batches; the 95% CI should catch pi in >= 90
         covered = 0
         for i in range(100):
             result = run_batch(50, 2000, RngConfig(1000 + i, 0))
-            stats = summarize(result.estimates)
-            covered += stats.ci_low <= math.pi <= stats.ci_high
+            covered += result.ci_low <= math.pi <= result.ci_high
         assert covered >= 90
 
 

@@ -19,9 +19,9 @@ class TestQuadrature:
     # Slabs of whole rows (200 points and more) and of pieces of one row (7, 64, 199).
     @pytest.mark.parametrize("slab", [7, 64, 199, 200, 1400, 5000])
     def test_slab_size_does_not_change_the_value(self, monkeypatch, slab):
-        whole = expected_crossings_quadrature(360, 200, theta_origin=0.1)
+        whole = expected_crossings_quadrature(360, 200)
         monkeypatch.setattr(oracle, "_SLAB_POINTS", slab)
-        assert expected_crossings_quadrature(360, 200, theta_origin=0.1) == whole
+        assert expected_crossings_quadrature(360, 200) == whole
 
     def test_lattice_beyond_the_point_limit_is_refused(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_POINTS", 8 * 100)
@@ -49,12 +49,6 @@ class TestQuadrature:
         coarse = abs(expected_crossings_quadrature(360, 200) - TARGET)
         fine = abs(expected_crossings_quadrature(720, 400) - TARGET)
         assert fine < coarse
-
-    def test_invariant_under_theta_origin_shift(self):
-        base = expected_crossings_quadrature(360, 200)
-        shifted = expected_crossings_quadrature(360, 200, theta_origin=0.1)
-        assert abs(shifted - TARGET) < 1e-3
-        assert abs(shifted - base) < 2e-3
 
     def test_rejects_tiny_lattices(self):
         with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def test_stream_resumes_a_straight_draw_at_a_cast(cast):
     # Cast c starts at uniform 3c, on a counter boundary when c % 4 == 0.
     config = RngConfig(42, 3)
     straight = config.stream().random(3 * cast + 50)[3 * cast:]
-    assert np.array_equal(config.stream(cast).random(50), straight)
+    assert np.array_equal(config.stream(3 * cast).random(50), straight)
 
 
 @pytest.mark.parametrize("drop", [2, 6, 65536, 100002])
@@ -144,24 +144,26 @@ def test_stream_resumes_a_straight_draw_at_a_drop(drop):
     # Needle drop d starts at uniform 2d, on a counter boundary when d % 2 == 0.
     config = RngConfig(42, 3)
     straight = config.stream().random(2 * drop + 50)[2 * drop:]
-    assert np.array_equal(config.stream(drop, 2).random(50), straight)
+    assert np.array_equal(config.stream(2 * drop).random(50), straight)
 
 
 @pytest.mark.parametrize("draw, uniforms", [(-4, 3), (1, 3), (2, 3), (3, 3), (6, 3), (1, 2), (-2, 2)])
 def test_stream_start_off_a_counter_boundary(draw, uniforms):
+    # Draw ``draw``, of ``uniforms`` uniforms each, starts below 0 or off a multiple of 4.
+    first_uniform = draw * uniforms
+    with pytest.raises(ValueError, match=f"uniform {first_uniform} is not a nonnegative multiple of 4"):
+        RngConfig(42, 3).stream(first_uniform)
     with pytest.raises(ValueError, match="multiple of 4"):
-        RngConfig(42, 3).stream(draw, uniforms)
-    with pytest.raises(ValueError, match="multiple of 4"):
-        RngConfig(42, 3).rekey(np.random.Philox(key=0), draw, uniforms)
+        RngConfig(42, 3).rekey(np.random.Philox(key=0), first_uniform)
 
 
 @pytest.mark.parametrize("uniforms, first_draw", [(3, 0), (3, 4), (3, 65536), (2, 0), (2, 6), (2, 100002)])
 def test_one_generator_rekeyed_across_streams_draws_fresh_streams(uniforms, first_draw):
     # One Philox, re-keyed from stream to stream after a partial draw that leaves
-    # words in its buffer, draws what a fresh stream at that draw would.
-    rng = RngConfig(0, 0).stream()
+    # words in its buffer, draws what a fresh stream at that draw's first uniform would.
+    rng, first_uniform = RngConfig(0, 0).stream(), first_draw * uniforms
     for seed in (0, 1 << 63, (1 << 64) - 1):
         for stream_id in (0, 5, (1 << 63) + 1, (1 << 64) - 1):
             config = RngConfig(seed, stream_id)
-            config.rekey(rng.bit_generator, first_draw, uniforms)
-            assert np.array_equal(rng.random(7), config.stream(first_draw, uniforms).random(7))
+            config.rekey(rng.bit_generator, first_uniform)
+            assert np.array_equal(rng.random(7), config.stream(first_uniform).random(7))
