@@ -189,6 +189,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 def cmd_validate(args) -> int:
     if not 0 < args.tolerance < float("inf"):
         raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    if args.mc_trials is None and args.seed is not None:
+        raise ValueError("--seed only applies with --mc-trials")
     if args.mc_trials is not None and args.mc_trials < 1:
         raise ValueError(f"--mc-trials must be >= 1, got {args.mc_trials}")
     n_theta, n_offset = _parse_resolution(args.resolution)
@@ -255,7 +257,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", default="360x200x200", help="quadrature lattice (default 360x200x200)")
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--mc-trials", type=int, default=None, help="also compare a Monte Carlo mean")
-    p.add_argument("--seed", type=int, default=None, help="seed for the Monte Carlo leg")
+    p.add_argument("--seed", type=int, default=None, help="seed for the Monte Carlo leg (needs --mc-trials)")
     p.set_defaults(func=cmd_validate)
 
     return parser

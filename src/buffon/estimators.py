@@ -38,13 +38,18 @@ from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
 from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
 
 # Casts per vectorized block, and so per kernel call: short runs are packed
-# into blocks of this size too.  With the float32 filter, 6e6 casts on a
-# 2-core Xeon with numpy 2.4 took a median (quartiles) of 0.387 s
-# (0.369-0.393) at 1 << 14, 0.353 s (0.345-0.368) at 1 << 15, 0.359 s
-# (0.323-0.375) at 1 << 16 and 0.393 s (0.372-0.407) at 1 << 17, fourteen
-# fresh processes each: no size wins beyond host noise.  Peak RSS grows with
-# the block (37, 38, 40 and 44 MB in process).
-_BLOCK = 1 << 16
+# into blocks of this size too.  A block's working set is 53 B per cast, its
+# float64 uniforms (24 B) and the filter's rows and mask (29 B): 1.66 MiB at
+# 1 << 15, which fits a 2 MiB per-core L2 cache, and 3.3 MiB at 1 << 16,
+# which does not.  On a 2-core Xeon with 2 MiB of L2 per core and numpy 2.4,
+# ``tally_casts`` of 3e6 casts took, in ns/cast (the least of 15 rounds, sizes
+# interleaved; one run / runs of 5000 / the needle), 38.5 / 40.4 / 17.5 at
+# 1 << 13, 32.8 / 36.7 / 16.9 at 1 << 14, 31.5 / 34.6 / 15.6 at 1 << 15,
+# 32.7 / 36.9 / 15.5 at 1 << 16 and 36.3 / 39.8 / 16.1 at 1 << 17: smaller
+# blocks pay more calls, larger ones miss L2.  Over the interpreter's and
+# numpy's fixed share, the peak RSS of ``estimate --trials 6000000`` grows
+# with the block: 35.5, 35.9, 36.8, 38.5 and 41.6 MiB (median of 6 runs).
+_BLOCK = 1 << 15
 # The trial loop's workspace, one per thread (see ``_workspace``).
 _local = threading.local()
 
@@ -219,7 +224,7 @@ def _block_tallies(u, starts, triangle: bool, ratio: float, scratch) -> np.ndarr
         sums = [np.add.reduceat(hit, starts)]
     # The counts are float32, summed in float32: they are integers of at most
     # 64 (a squared total of 8), so a block's sums stay within 64 * _BLOCK =
-    # 2**22, below 2**24, and are exact.
+    # 2**21, below 2**24, and are exact.
     return np.stack(sums, axis=1).astype(np.int64)
 
 

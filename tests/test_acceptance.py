@@ -5,6 +5,7 @@ The full-scale batch (criterion 1) walks a billion casts, about 35 s of
 CPU on a 2-core Xeon; everything else finishes in seconds.
 """
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -35,10 +36,10 @@ def _read_estimates(csv_path) -> list[float]:
 
 
 def test_criterion_1_full_scale_batch_mean(tmp_path):
-    csv_path = tmp_path / "full.csv"
+    csv_path, svg_path = tmp_path / "full.csv", tmp_path / "full.svg"
     rc = main([
         "batch", "--runs", "1000", "--trials", "1000000",
-        "--seed", str(SEED), "--csv", str(csv_path),
+        "--seed", str(SEED), "--csv", str(csv_path), "--svg", str(svg_path),
     ])
     assert rc == 0
     estimates = _read_estimates(csv_path)
@@ -48,6 +49,13 @@ def test_criterion_1_full_scale_batch_mean(tmp_path):
     _verdict(
         "1 full-scale batch", gap < 1e-3,
         f"1000 runs x 1e6 trials: mean {mean:.6f}, |mean - pi| = {gap:.2e} < 1e-3",
+    )
+    # The output bytes, pinned as in tests/test_golden.py (Python 3.11, numpy 2.4).
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "aa419a5abbbed466417fb52a817e8a1da61e31d263281f86d88cc3ad00835d9b"
+    )
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+        "7efb63539e85d48c96828dcb788e7c0b529ec9bf74b72783ab679911e55937e1"
     )
 
 

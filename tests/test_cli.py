@@ -286,6 +286,11 @@ class TestValidateCommand:
         assert main(["validate", "--resolution", "8", "--mc-trials", trials, "--seed", "1"]) == 1
         assert "--mc-trials must be >= 1" in capsys.readouterr().err
 
+    def test_seed_without_mc_trials_is_usage_error(self, capsys):
+        # Without the Monte Carlo leg nothing is drawn, so the seed would do nothing.
+        assert main(["validate", "--resolution", "8", "--seed", "5"]) == 1
+        assert capsys.readouterr() == ("", "error: --seed only applies with --mc-trials\n")
+
     def test_oversized_lattice_is_runtime_error(self, capsys):
         # 2e6 x 2e7 lattice points ask numpy for 291 TiB, refused at allocation.
         assert main(["validate", "--resolution", "2000000x20000000"]) == 2
@@ -387,11 +392,11 @@ class TestWorkers:
 
     @pytest.mark.parametrize("cpus, argv", [
         (3, ["estimate", "--trials", "200000", "--workers", "1"]),
-        (3, ["estimate", "--trials", "65536", "--workers", "3"]),
+        (3, ["estimate", "--trials", str(estimators._BLOCK), "--workers", "3"]),
         (3, ["batch", "--runs", "3", "--trials", "100000", "--workers", "1"]),
-        (3, ["batch", "--runs", "1", "--trials", "65536", "--workers", "3"]),
+        (3, ["batch", "--runs", "1", "--trials", str(estimators._BLOCK), "--workers", "3"]),
         (1, ["validate", "--mc-trials", "200000"]),
-        (3, ["validate", "--mc-trials", "65536"]),
+        (3, ["validate", "--mc-trials", str(estimators._BLOCK)]),
     ], ids=["estimate-1-worker", "estimate-1-block", "batch-1-worker", "batch-1-block",
             "validate-1-cpu", "validate-1-block"])
     def test_one_worker_or_one_block_starts_no_pool(self, monkeypatch, cpus, argv):

@@ -365,7 +365,7 @@ class TestChunkedRuns:
         ]
 
     @pytest.mark.parametrize("trials, workers, head", [
-        (1000, 4, 1000), (65536, 2, 65536), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
+        (1000, 4, 1000), (estimators._BLOCK, 2, estimators._BLOCK), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
         (6_000_000, 3, 31 * 65536), (6_000_000, 1, 6_000_000),
     ])
     def test_head_is_a_whole_block_share(self, monkeypatch, trials, workers, head):

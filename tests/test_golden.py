@@ -4,11 +4,21 @@ Each command's stdout, stderr, exit code and written files are pinned by
 their sha256, so any change to an output byte, at any worker count, fails
 here.  The digests were taken with Python 3.11 and numpy 2.4; a change that
 moves them on purpose must say so in CHANGES.md.
+
+Run as a script, this file prints the digest table of the tree it imports
+``buffon`` from, in the form of ``GOLDEN`` below, and writes nothing else::
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +46,30 @@ CASES = {
     "render": ["render", "--images", "3", "--seed", "3", "--out", "casts"],
     "validate": ["validate"],
     "validate-mc": ["validate", "--mc-trials", "200000", "--seed", "5"],
+    "validate-seed": ["validate", "--seed", "5"],
     "zero-trials": ["estimate", "--trials", "0", "--seed", "1"],
     "unknown-method": ["estimate", "--method", "square"],
+}
+
+# Commands pinned by one digest at --workers 1, 2 and 3: runs that start,
+# straddle or end at a boundary of 32768- and of 65536-cast blocks, and
+# batches whose shares cut inside a run, so that the bytes cannot depend on
+# the block size either.
+SPLIT = {
+    **{
+        f"estimate-{method}-{trials}": [
+            "estimate", "--method", method, "--trials", str(trials), "--seed", "22", "--json", "report.json",
+        ]
+        for trials in (7, 32768, 65536, 70003, 196613)
+        for method in ("triangle", "needle")
+    },
+    **{
+        f"batch-{runs}x{trials}": [
+            "batch", "--runs", str(runs), "--trials", str(trials), "--seed", "23",
+            "--csv", "runs.csv", "--svg", "histogram.svg",
+        ]
+        for runs, trials in ((3, 300001), (20, 70003), (400, 7), (1, 200000))
+    },
 }
 
 GOLDEN = {
@@ -131,6 +163,12 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},
     },
+    "validate-seed": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "9e1f937bf58223242abf743beee60d88aa080ca9bca4c1524af2f09157a82596",
+        "files": {},
+    },
     "zero-trials": {
         "code": 1,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -143,27 +181,179 @@ GOLDEN = {
         "stderr": "c31182579500718cb74b2eaa71c005be8152bb73ed6f429b9e8813a4607f274e",
         "files": {},
     },
+    "estimate-triangle-7": {
+        "code": 0,
+        "stdout": "e07549332ec37fee75c87276f37fb8ffd25120508c02e12175f3373d958a2ba1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "324d7cc056c853af5cac2f37dee4505f3a3faa59006044e2015aa12aab14d433",
+        },
+    },
+    "estimate-needle-7": {
+        "code": 0,
+        "stdout": "e34c37b4ce24f9adb3f4a03515ca286eec1ed626a8310af2cdd7e2e83eb1585a",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "58bcf4897add60594bffe1763306f16ddf050f2f36064982d409b309899fc0cd",
+        },
+    },
+    "estimate-triangle-32768": {
+        "code": 0,
+        "stdout": "b330ba8e1a8bb3b6b9f37f69c5b32bbaca09000b6df64e7fe2643082668a920a",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "1dda3ad3d0f46af5e19eaaeebe1493a8def854a5e34ce0dc0bab63e7a9011c86",
+        },
+    },
+    "estimate-needle-32768": {
+        "code": 0,
+        "stdout": "a3027baed794cc4e343a21f64458811f925ed0d8603628b542404d2956e54a87",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "483b28baa930d54298bf02d77804e6dcd69b5f51e935b427b6d215264167cf94",
+        },
+    },
+    "estimate-triangle-65536": {
+        "code": 0,
+        "stdout": "f9ee70cfcef56f42c2ecc693723d22cc16a00992121324afcfeb5330bce487ac",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "aa5f1b753805427245710fd96eb5bd66a77cef7943c947cb4921c07b23dbe20e",
+        },
+    },
+    "estimate-needle-65536": {
+        "code": 0,
+        "stdout": "2e90688a06cb2482b6cd96ce671f8d3e624b22914f1075ae92dc8f81ede9bc47",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "3b5f83804a442ae2c24b42127cc7f199d70e31d875ee5139aa4bc996bccd8a22",
+        },
+    },
+    "estimate-triangle-70003": {
+        "code": 0,
+        "stdout": "638c8cd5a5888191b8f60d99eac5f0055cd42c987863e59af47e21a0ad1ba7dc",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "123f06322007f0ff50d78683e48306abbaf3c3333e4afc085b7e58405a9be220",
+        },
+    },
+    "estimate-needle-70003": {
+        "code": 0,
+        "stdout": "0fbffe36356a325f19059f223c3e838228c5fdebffe7987a2fc7c9bacaca2254",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "f18684d54171f4745727eee3442379c0d105ffb14d3e8cfe87780f7135456046",
+        },
+    },
+    "estimate-triangle-196613": {
+        "code": 0,
+        "stdout": "68ab6390eda25c4802c2261b8eabe3b49b944e1b24261246a2fa0a6ebe9942e3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "c7e66b54cb99bfc55aea6248f3ce815a73e8b331ef0a38f975e3715ccbc8911d",
+        },
+    },
+    "estimate-needle-196613": {
+        "code": 0,
+        "stdout": "212c12135d74ddf84d79649a9a6f780596a98502592e162e0edd315a0d0c26f3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "report.json": "a2b2588f7134093a8b741597f9cae00f2dae15075f8ce001b60a01395388b6ee",
+        },
+    },
+    "batch-3x300001": {
+        "code": 0,
+        "stdout": "76d9f24c07d39491854fc752ae9b62225b5a2376861f3e2817c39cf6a9e2dd0a",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "histogram.svg": "9781f31c2e2bbbdcb4d5989799d886093b63ccdb6212db84ceb5ee6ca0c0451e",
+            "runs.csv": "7cee40da12ea77ceaa26b754979c8ef6174dbc6d962478296154737cfbdc3441",
+        },
+    },
+    "batch-20x70003": {
+        "code": 0,
+        "stdout": "6040a514b40b39ba36d6eb870dd8c28df2e19f9c343185de6a150da8e4bf19b7",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "histogram.svg": "4a3d8ed9404cfee7ba7ed85ecba531b1ff696b43be8493dbad87a6df8821f5bd",
+            "runs.csv": "23f9d8f32a0e2515de4bfaf1eb6ad564df40071874b6747e9731220c0a155baa",
+        },
+    },
+    "batch-400x7": {
+        "code": 0,
+        "stdout": "385e8100539cd7a2649b031e1d48bc43324561397b53eb7d070fbc3f00d13248",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "histogram.svg": "93b12892d682b49636db012d399d44e6789bc5102040317342fd1a738e5b203e",
+            "runs.csv": "d1275bf302583b3c970eeb5e6a67eb32f6ff4d6f53b39d143a126d5c00a52559",
+        },
+    },
+    "batch-1x200000": {
+        "code": 0,
+        "stdout": "05881bb643cbc40aece6d6070e0bf0438fd969f68f88022930646c6888f4e726",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "histogram.svg": "1de17dec9bfdac82fdc7e22483a31bfda0b70410e1ba96d0987ec6efc2bbc65b",
+            "runs.csv": "6dd5b1e2ca12ac1569dde4bdfd8caf735f201440ae5d338713b462ebde4d1b1d",
+        },
+    },
 }
 
 
-def record(argv, cwd, capsys) -> dict:
-    """The sha256 of ``main(argv)``'s stdout, stderr and each file it wrote under ``cwd``, and its exit code."""
-    code = main(argv)
-    captured = capsys.readouterr()
+def record(argv) -> dict:
+    """``main(argv)``'s exit code and the sha256 of its stdout, stderr and each file it wrote in the cwd."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    cwd = Path.cwd()
     files = {str(p.relative_to(cwd)): _sha(p.read_bytes()) for p in sorted(cwd.rglob("*")) if p.is_file()}
     return {
         "code": code,
-        "stdout": _sha(captured.out.encode()),
-        "stderr": _sha(captured.err.encode()),
+        "stdout": _sha(out.getvalue().encode()),
+        "stderr": _sha(err.getvalue().encode()),
         "files": files,
     }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_output_bytes_are_pinned(monkeypatch, tmp_path, capsys, name):
+@pytest.fixture
+def pinned_host(monkeypatch, tmp_path):
     # Three usable CPUs, so --workers 3 forks two children on any host, and
     # argparse wraps its usage line at the default 80 columns.
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
-    assert record(CASES[name], tmp_path, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_bytes_are_pinned(pinned_host, name):
+    assert record(CASES[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["w1", "w2", "w3"])
+@pytest.mark.parametrize("name", SPLIT)
+def test_split_output_bytes_are_pinned_at_every_worker_count(pinned_host, name, workers):
+    assert record(SPLIT[name] + ["--workers", str(workers)]) == GOLDEN[name]
+
+
+def _print_golden() -> None:
+    """Print ``GOLDEN`` as this tree computes it, on the pinned host of the tests (``SPLIT`` at one worker)."""
+    estimators._usable_cpus = lambda: 3
+    os.environ["COLUMNS"] = "80"
+    print("GOLDEN = {")
+    for name, argv in {**CASES, **{k: v + ["--workers", "1"] for k, v in SPLIT.items()}}.items():
+        with tempfile.TemporaryDirectory() as cwd:
+            os.chdir(cwd)
+            digests = record(argv)
+            os.chdir("/")
+        files = "".join(f'            "{f}": "{h}",\n' for f, h in digests["files"].items())
+        print(f'    "{name}": {{')
+        print(f'        "code": {digests["code"]},')
+        print(f'        "stdout": "{digests["stdout"]}",')
+        print(f'        "stderr": "{digests["stderr"]}",')
+        print(f'        "files": {{\n{files}        }},' if files else '        "files": {},')
+        print("    },")
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_golden()
