@@ -299,7 +299,15 @@ def app() -> None:
     the last of the output (its reader gone) turns a success into one
     ``error: ...`` line and exit 2; a failed command keeps its own code and
     line.  ``main()`` itself never ends the process.
+
+    It also keeps OpenSSL's libcrypto out of the process and of every child
+    it forks: ``numpy.random`` imports ``secrets``, hence ``hmac`` and
+    ``hashlib``, which would map libcrypto (~3.4 MiB of peak RSS) though no
+    command hashes anything.  With ``_hashlib`` blocked they use CPython's
+    builtin digests instead; ``main()`` called from Python leaves it alone.
     """
+    # Before main() imports numpy.random, and so inherited by every child it forks.
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     try:
         try:

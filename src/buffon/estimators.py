@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
-from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns
+from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns, key_philox
 
 # Casts per vectorized block, and so per kernel call: short runs are packed
 # into blocks of this size too.  A block's working set is 53 B per cast, its
@@ -48,7 +48,8 @@ from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_colu
 # 32.7 / 36.9 / 15.5 at 1 << 16 and 36.3 / 39.8 / 16.1 at 1 << 17: smaller
 # blocks pay more calls, larger ones miss L2.  Over the interpreter's and
 # numpy's fixed share, the peak RSS of ``estimate --trials 6000000`` grows
-# with the block: 35.5, 35.9, 36.8, 38.5 and 41.6 MiB (median of 6 runs).
+# with the block: 32.2, 32.4, 33.4, 35.2 and 38.4 MiB (median of 6 runs,
+# with OpenSSL kept out as ``cli.app`` does).
 _BLOCK = 1 << 15
 # The trial loop's workspace, one per thread (see ``_workspace``).
 _local = threading.local()
@@ -301,10 +302,12 @@ def tally_casts(task: tuple[int, int, int, int, int, str, float]) -> np.ndarray:
     """
     seed, stream, start_cast, casts, trials, method, ratio = task
     uniforms = UNIFORMS_PER_CAST if method == "triangle" else UNIFORMS_PER_DROP
+    # Later runs are keyed unchecked, so check the last stream the task reaches.
+    RngConfig(seed, stream + (start_cast + casts - 1) // trials)
     rng = RngConfig(seed, stream).stream(start_cast * uniforms)
     return _tally_runs(
         rng, trials, method, ratio=ratio, start=start_cast, casts=casts,
-        rekey=lambda i: RngConfig(seed, stream + i).rekey(rng.bit_generator),
+        rekey=lambda i: key_philox(rng.bit_generator, seed, stream + i),
     )
 
 

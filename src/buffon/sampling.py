@@ -11,12 +11,13 @@ uniform takes one word, so uniform ``u`` starts at counter ``u/4`` when
 ``u`` is a multiple of 4.  A triangle cast takes ``UNIFORMS_PER_CAST = 3``
 uniforms, so cast ``c`` starts at uniform ``3c``; a needle drop takes
 ``UNIFORMS_PER_DROP = 2``, so drop ``d`` starts at uniform ``2d``.
-``stream(first_uniform)`` keys a fresh generator there, and ``rekey`` keys
-an existing one, its buffer of unused words cleared, so one generator
-re-keyed from stream to stream draws what fresh streams would.  Chunks of
-a run that start at a multiple of 4 draws (the estimators cut runs at
-multiples of their block size) therefore draw exactly the casts of one
-straight pass over the stream.
+``stream(first_uniform)`` keys a fresh generator there, and ``rekey`` (or
+``key_philox``, which takes the pair unchecked) keys an existing one, its
+buffer of unused words cleared, so one generator re-keyed from stream to
+stream draws what fresh streams would.  Chunks of a run that start at a
+multiple of 4 draws (the estimators cut runs at multiples of their block
+size) therefore draw exactly the casts of one straight pass over the
+stream.
 """
 
 from __future__ import annotations
@@ -55,23 +56,29 @@ class RngConfig:
         return np.random.Generator(self.rekey(np.random.Philox(key=0), first_uniform))
 
     def rekey(self, bit_generator, first_uniform: int = 0):
-        """Key the Philox ``bit_generator`` to this stream at uniform ``first_uniform``, its buffer cleared; returns it.
+        """Key the Philox ``bit_generator`` to this stream at uniform ``first_uniform``; see ``key_philox``."""
+        return key_philox(bit_generator, self.seed, self.stream_id, first_uniform)
 
-        The uniform must start a Philox counter step: ``first_uniform`` a
-        nonnegative multiple of 4.
-        """
-        if first_uniform < 0 or first_uniform % _UNIFORMS_PER_STEP:
-            raise ValueError(f"uniform {first_uniform} is not a nonnegative multiple of 4")
-        step = first_uniform // _UNIFORMS_PER_STEP
-        # uint64 arrays: a list with one value at or above 2**63 and one below
-        # would become float64 and round the key.
-        counter = np.array([(step >> shift) & _UINT64_MAX for shift in (0, 64, 128, 192)], dtype=np.uint64)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return bit_generator
+
+def key_philox(bit_generator, seed: int, stream_id: int, first_uniform: int = 0):
+    """Key the Philox ``bit_generator`` to stream ``(seed, stream_id)``, its buffer cleared; returns it.
+
+    It stands at uniform ``first_uniform`` of the stream, which must start a
+    Philox counter step: a nonnegative multiple of 4.  ``seed`` and
+    ``stream_id`` are not checked here; they must be unsigned 64-bit
+    integers, as ``RngConfig`` checks.
+    """
+    if first_uniform < 0 or first_uniform % _UNIFORMS_PER_STEP:
+        raise ValueError(f"uniform {first_uniform} is not a nonnegative multiple of 4")
+    step = first_uniform // _UNIFORMS_PER_STEP
+    # Python ints, each set as one uint64 word: no numpy array to build per
+    # call, and no float64 that would round a key at or above 2**63.
+    words = step & _UINT64_MAX, step >> 64 & _UINT64_MAX, step >> 128 & _UINT64_MAX, step >> 192 & _UINT64_MAX
+    bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": words, "key": (seed, stream_id)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return bit_generator
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Shared test helpers: a scripted RNG stand-in, and vertex and brute-force
+"""Shared test helpers: a scripted RNG stand-in, vertex and brute-force
 crossing references that share no geometry or counting code with the
-package."""
+package, and a needle oracle in ``math`` alone."""
 
 from __future__ import annotations
 
@@ -66,3 +66,15 @@ def brute_force_tally(v, offset_x: float, offset_y: float, spacing: float = 1.0)
 def cast_vertices(v, i: int):
     """The vertices of cast ``i`` of a block built by ``make_triangle``."""
     return tuple((float(x[i]), float(y[i])) for x, y in v)
+
+
+def needle_hit_probability(ratio: float, points: int = 10_000) -> float:
+    """A needle drop's hit probability, ``ratio * sin(phi)`` averaged over the angle by the midpoint rule.
+
+    Given the angle ``phi``, uniform on [0, pi), a needle of length ``ratio``
+    (at most the unit spacing) whose center lies uniformly within 1/2 of the
+    nearest line hits it with probability ``ratio * sin(phi)``.  The rule's
+    error is below ``ratio * (pi / points)**2 / 24``, under 5e-9 at 10000 points.
+    """
+    step = math.pi / points
+    return ratio * math.fsum(math.sin((k + 0.5) * step) for k in range(points)) / points

@@ -569,7 +569,7 @@ class TestTopLevel:
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
             capture_output=True, text=True, check=True,
         ).stdout.split()
-        unwanted = {"concurrent", "multiprocessing", "secrets", "logging", "socket", "queue"}
+        unwanted = {"concurrent", "multiprocessing", "secrets", "hashlib", "_hashlib", "hmac", "logging", "socket", "queue"}
         assert [m for m in modules if m.split(".")[0] in unwanted] == []
 
     def test_importing_the_package_loads_nothing_else(self):
@@ -701,6 +701,8 @@ class TestEntryPoint:
             raise Ended
 
         stderr = Stream("stderr")
+        # app() blocks _hashlib for the rest of the process: undo that after the test.
+        monkeypatch.setitem(sys.modules, "_hashlib", sys.modules.get("_hashlib"))
         monkeypatch.setattr(sys, "stdout", Stream("stdout", flush_error))
         monkeypatch.setattr(sys, "stderr", stderr)
         monkeypatch.setattr(os, "_exit", end)
@@ -709,6 +711,59 @@ class TestEntryPoint:
             cli.app()
         assert events == ["flush stdout", "flush stderr", ("exit", code)]
         assert stderr.text == err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_no_command_process_maps_libcrypto(self, tmp_path):
+        # numpy.random imports secrets, hmac and hashlib; through app() they
+        # must load no OpenSSL, in this process or in the child it forks, and
+        # still give the right digests.
+        script = """
+import os, sys
+import buffon.cli as cli, buffon.estimators as estimators
+
+def report(who):
+    with open("/proc/self/maps") as maps:
+        print(who, "libcrypto" in maps.read(), file=sys.stderr, flush=True)
+
+def child_task(task, tally=estimators.tally_casts):
+    rows = tally(task)
+    report("child" if os.getpid() != parent else "this")
+    return rows
+
+def main(run=cli.main):
+    code = run()
+    report("parent")
+    import hashlib, hmac
+    print(hashlib.sha256(b"").hexdigest(), file=sys.stderr)
+    print(hmac.new(b"key", b"The quick brown fox jumps over the lazy dog", "sha256").hexdigest(), file=sys.stderr)
+    return code
+
+parent = os.getpid()
+estimators._usable_cpus = lambda: 2
+estimators.tally_casts, cli.main = child_task, main
+sys.argv = ["buffon", "estimate", "--trials", "300000", "--seed", "1", "--workers", "2"]
+cli.app()
+"""
+        done = self._run([sys.executable, "-c", script], tmp_path, capture_output=True, text=True)
+        assert (done.returncode, done.stderr.splitlines()) == (0, [
+            "child False",
+            "parent False",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8",
+        ])
+        assert "pi estimate = " in done.stdout
+
+    def test_main_from_python_leaves_hashlib_as_it_found_it(self, tmp_path):
+        # Only app() blocks OpenSSL's hashlib; a library caller of main() keeps it.
+        script = """
+import sys
+import buffon.cli as cli
+before = sys.modules.get("_hashlib", "absent")
+code = cli.main(["estimate", "--trials", "300000", "--seed", "1", "--workers", "2"])
+print(code, before, type(sys.modules.get("_hashlib")).__name__)
+"""
+        done = self._run([sys.executable, "-c", script], tmp_path, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 absent module"
 
     def test_main_returns_without_ending_the_process(self, monkeypatch, capsys):
         # One worker, so no child process (which ends with os._exit) is forked.

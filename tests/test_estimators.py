@@ -332,6 +332,20 @@ class TestChunkedRuns:
         with pytest.raises(ValueError, match="multiple of 4"):
             tally_casts((1, 0, start, 10, 100, method, 0.5))
 
+    @pytest.mark.parametrize("start, casts", [(0, 201), (96, 105), (0, 300)])
+    def test_a_task_past_the_last_stream_is_rejected_before_it_draws(self, monkeypatch, start, casts):
+        # Runs of 100 from stream 2**64 - 2: a task that reaches a third run
+        # would key stream 2**64.  The check comes before any run is re-keyed.
+        monkeypatch.setattr(estimators, "key_philox", mock.Mock(side_effect=AssertionError("re-keyed")))
+        with pytest.raises(ValueError, match="stream_id must be an unsigned 64-bit integer, got 18446744073709551616"):
+            tally_casts((1, (1 << 64) - 2, start, casts, 100, "triangle", 1.0))
+
+    def test_a_task_up_to_the_last_stream_is_tallied(self):
+        last = (1 << 64) - 1
+        rows = tally_casts((1, last - 1, 96, 104, 100, "needle", 0.5)).tolist()
+        first = run_needle_trials(4, RngConfig(1, last - 1).stream(96 * UNIFORMS_PER_DROP), 0.5)
+        assert rows == [list(first.counts), list(_straight_tallies(100, RngConfig(1, last), "needle", 0.5))]
+
     @staticmethod
     def _split_run(trials, config, method, ratio, workers, draw_head):
         with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:

@@ -49,6 +49,19 @@ CASES = {
     "validate-seed": ["validate", "--seed", "5"],
     "zero-trials": ["estimate", "--trials", "0", "--seed", "1"],
     "unknown-method": ["estimate", "--method", "square"],
+    "render-none": ["render", "--images", "0", "--seed", "3", "--out", "casts"],
+    "validate-90": ["validate", "--resolution", "90"],
+    "validate-90x50": ["validate", "--resolution", "90x50"],
+    "validate-90x50x50": ["validate", "--resolution", "90x50x50"],
+    "validate-bad-resolution": ["validate", "--resolution", "90xy"],
+    "validate-unequal-offsets": ["validate", "--resolution", "90x50x40"],
+    "validate-tight": ["validate", "--tolerance", "1e-5"],
+    "validate-one-mc-trial": ["validate", "--mc-trials", "1", "--seed", "5"],
+    "triangle-ratio": ["estimate", "--ratio", "0.5", "--seed", "1"],
+    "zero-workers": ["estimate", "--trials", "10", "--seed", "1", "--workers", "0"],
+    "seed-2-64": ["estimate", "--trials", "10", "--seed", str(1 << 64)],
+    "zero-bins": ["batch", "--runs", "2", "--trials", "10", "--seed", "1", "--bins", "0"],
+    "batch-zero-trials": ["batch", "--runs", "2", "--trials", "0", "--seed", "1"],
 }
 
 # Commands pinned by one digest at --workers 1, 2 and 3: runs that start,
@@ -179,6 +192,84 @@ GOLDEN = {
         "code": 1,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "c31182579500718cb74b2eaa71c005be8152bb73ed6f429b9e8813a4607f274e",
+        "files": {},
+    },
+    "render-none": {
+        "code": 0,
+        "stdout": "baf5bacda1e9e058b0a40afe53a1785c7a7d2fe92aac53b01ecd311ab3e830d2",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "validate-90": {
+        "code": 2,
+        "stdout": "65b08a9f08e1ad5e1b913bf10cdb755d6f3d8be40894571180fc2c543b170126",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "validate-90x50": {
+        "code": 2,
+        "stdout": "68988d841bdbaff7ef1fe09eb65406c3163cc12edaf5d7c05d0c874aa8818d41",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "validate-90x50x50": {
+        "code": 2,
+        "stdout": "68988d841bdbaff7ef1fe09eb65406c3163cc12edaf5d7c05d0c874aa8818d41",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "validate-bad-resolution": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "068153ea42d60eabae32bf8f7b26a1278a4621248801d4c9ceed9ab6ae07aad5",
+        "files": {},
+    },
+    "validate-unequal-offsets": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "7b9cc444634acc04f3a3c372f5b32dd5210e1420c59e100254ae2b049d3060c4",
+        "files": {},
+    },
+    "validate-tight": {
+        "code": 2,
+        "stdout": "1efb4adc36e9c3f58e07ac36346bc93b076c6caae6a7fd9b5ad0a3b22b573e4c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "validate-one-mc-trial": {
+        "code": 2,
+        "stdout": "e0c97cc58f0b9ab63f1597b35ed3a18ac6e25ef93bc7d2cc459c426bb7e2f923",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {},
+    },
+    "triangle-ratio": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "3da0add21d75e548816afc036e10e7abc704e532dd1105d7ce24796a8aaad1b1",
+        "files": {},
+    },
+    "zero-workers": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "53071d61622b77d9ad803ad12ba6c0fd097ecf5736d72674d2af61e268fb0343",
+        "files": {},
+    },
+    "seed-2-64": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "fb4fd1e43e6dbf40c8005d771b823a183e9fa1d052f87f4aa1f84b38eee9eaf4",
+        "files": {},
+    },
+    "zero-bins": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "8bb643765e1a634e8c67b4565cd51069a8df6fb7a2526094f67e36379774ccdc",
+        "files": {},
+    },
+    "batch-zero-trials": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "2bc6beabedc1ae1d90817d6e54333378ed551255bf35aa3cc617f14e04fc2f3a",
         "files": {},
     },
     "estimate-triangle-7": {

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import buffon.oracle as oracle
-from buffon.estimators import run_triangle_trials
+from buffon.estimators import run_needle_trials, run_triangle_trials
 from buffon.geometry import crossings_per_cast, make_triangle
 from buffon.oracle import (
     expected_crossings_closed_form,
@@ -11,6 +11,8 @@ from buffon.oracle import (
     mean_width_identity,
 )
 from buffon.sampling import RngConfig, draw_casts
+
+from conftest import needle_hit_probability
 
 TARGET = 12.0 / math.pi
 
@@ -117,3 +119,17 @@ class TestThreeWayAgreement:
         quadrature = expected_crossings_quadrature(360, 200)
         tally = run_triangle_trials(1_000_000, RngConfig(5, 0).stream())
         assert abs(quadrature - tally.intersections / tally.trials) < 0.01
+
+
+class TestNeedleOracle:
+    """The needle's hit rate against ``needle_hit_probability``, which shares no code with the package."""
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+    def test_quadrature_matches_the_closed_form(self, ratio):
+        assert needle_hit_probability(ratio) == pytest.approx(2.0 * ratio / math.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("ratio, seed", [(0.5, 31), (1.0, 32)])
+    def test_hit_rate_lies_within_four_standard_errors(self, ratio, seed):
+        # 2e6 drops: a 1% bias in the drops' distance moves the rate by ~8.5 SE at ratio 0.5, ~18 at 1.
+        rate, se = run_needle_trials(2_000_000, RngConfig(seed, 0).stream(), ratio).rate()
+        assert abs(rate - needle_hit_probability(ratio)) < 4 * se

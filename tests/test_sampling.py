@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from buffon.estimators import run_triangle_trials
-from buffon.sampling import CastSample, RngConfig, draw_casts, sample_cast
+from buffon.sampling import CastSample, RngConfig, draw_casts, key_philox, sample_cast
 
 from conftest import StubStream
 
@@ -167,3 +167,22 @@ def test_one_generator_rekeyed_across_streams_draws_fresh_streams(uniforms, firs
             config = RngConfig(seed, stream_id)
             config.rekey(rng.bit_generator, first_uniform)
             assert np.array_equal(rng.random(7), config.stream(first_uniform).random(7))
+
+
+@pytest.mark.parametrize("seed, stream_id, first_uniform", [
+    (1, 5, 0),
+    ((1 << 64) - 1, (1 << 63) + 3, 12),
+    (0, (1 << 64) - 1, 4 << 70),
+])
+def test_rekey_draws_what_numpy_keys_from_the_counter_and_key(seed, stream_id, first_uniform):
+    # numpy's own Philox(counter, key) shares no code with rekey; the key is a
+    # uint64 array, and the counter, past 2**64 in the last case, a Python int.
+    expected = np.random.Generator(
+        np.random.Philox(counter=first_uniform // 4, key=np.array([seed, stream_id], dtype=np.uint64))
+    ).random(9)
+    rng = RngConfig(7, 7).stream()
+    rng.random(3)  # leaves words in the buffer, which re-keying must clear
+    RngConfig(seed, stream_id).rekey(rng.bit_generator, first_uniform)
+    assert np.array_equal(rng.random(9), expected)
+    key_philox(rng.bit_generator, seed, stream_id, first_uniform)
+    assert np.array_equal(rng.random(9), expected)
