@@ -4,9 +4,9 @@ One trial loop, ``_tally_runs``, serves every caller.  It fills blocks of
 ``_BLOCK`` casts with consecutive pieces, whole short runs or stretches of
 long ones, and counts each block with one kernel call:
 ``geometry.filtered_crossings`` builds the triangles in float32 and counts
-the few casts within ``FILTER_GUARD`` of a line again through the float64
-path, so every count equals that path's, and the needle's hits are decided
-the same way.  ``np.add.reduceat`` splits the per-cast counts per run.
+the few casts near a line again through the float64 path, so every count
+equals that path's, and ``geometry.filtered_hits`` decides the needle's
+hits the same way.  ``np.add.reduceat`` splits the per-cast counts per run.
 Counts are elementwise, so tallies do not depend on how casts share blocks.
 
 The loop runs in one workspace per process (per thread), so a block
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FILTER_GUARD, filter_workspace, filtered_crossings
+from .geometry import filter_workspace, filtered_crossings, filtered_hits
 from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns, key_philox
 
 # Casts per vectorized block, and so per kernel call: short runs are packed
@@ -209,19 +209,8 @@ def _block_tallies(u, starts, triangle: bool, ratio: float, scratch) -> np.ndarr
         np.square(total, out=total)
         sums.append(np.add.reduceat(total, starts))
     else:
-        u, half_len = np.reshape(u, (-1, UNIFORMS_PER_DROP)), ratio / 2.0
-        (gap, other, hit), near = scratch[0][:3, : len(u)], scratch[1][: len(u)]
-        # Decide ``half_len * sin(angle) - distance`` in float32: it is off by
-        # under 3e-7 (rounding the angle and the distance, a float32 sin and
-        # two operations), so only a gap within FILTER_GUARD can have the
-        # wrong sign, and those drops are decided again in float64.
-        np.multiply(u[:, 1], math.pi, out=gap, casting="same_kind")
-        np.sin(gap, out=gap)
-        gap *= half_len
-        gap -= np.multiply(u[:, 0], 0.5, out=other, casting="same_kind")
-        np.greater_equal(gap, 0, out=hit)
-        idx = np.flatnonzero(np.less(np.abs(gap, out=other), FILTER_GUARD, out=near))
-        hit[idx] = half_len * np.sin(math.pi * u[idx, 1]) >= 0.5 * u[idx, 0]
+        u = np.reshape(u, (-1, UNIFORMS_PER_DROP))
+        hit, _, _ = filtered_hits(u[:, 0], u[:, 1], ratio, scratch)
         sums = [np.add.reduceat(hit, starts)]
     # The counts are float32, summed in float32: they are integers of at most
     # 64 (a squared total of 8), so a block's sums stay within 64 * _BLOCK =

@@ -27,7 +27,8 @@ the vertices, and every float32 quantity lies within 1e-6 of its float64
 value (the error budget is next to ``FILTER_GUARD``), so a quantity more
 than the guard away from every integer has the same floor in both.
 
-In a ``filter_workspace`` that its caller keeps, the filter allocates only
+``filtered_hits`` is the needle's filter, with the same guard.  In a
+``filter_workspace`` that its caller keeps, either filter allocates only
 for the near casts: fresh block-sized temporaries cost up to 11.5k page
 faults per 1e6 casts.
 """
@@ -56,6 +57,9 @@ THIRD_TURN = TWO_PI / 3.0
 # part that the filter compares with the guard is itself off by at most
 # 2**-23.  ``tests/test_geometry.py`` measures the error below
 # FILTER_GUARD / 64 on a dense rotation grid.
+# The needle's float32 gap in ``filtered_hits`` is off by under 3e-7: 6e-8
+# from rounding the angle, 6e-8 from the float32 sin and 7.5e-8 from rounding
+# the half-length and the distance and two operations, all below 1/2.
 FILTER_GUARD = 2.0**-12
 
 Point = tuple[float, float]
@@ -157,11 +161,20 @@ def _axis_crossings(a, b, c, offset, spacing):
 
     ``lo`` and ``hi`` are the extreme vertex coordinates, so the count of
     straddled lines is a difference of floors; each straddled line crosses
-    exactly two sides of the triangle.
+    exactly two sides of the triangle.  The floors are of the exact
+    differences: ``x - rint(x)`` is exact (Sterbenz's lemma), so on the unit
+    grid even a cast with two vertices on lines is counted exactly.
     """
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    lines = np.floor((hi - offset) / spacing) - np.floor((lo - offset) / spacing)
+    lo = np.minimum(np.minimum(a, b), c) / spacing
+    hi = np.maximum(np.maximum(a, b), c) / spacing
+    offset = np.divide(offset, spacing)
+    part = offset - np.rint(offset)
+    part = np.where(part == -0.5, 0.5, part)  # in (-1/2, 1/2], less than 1 from any x - rint(x)
+    whole_hi, whole_lo = np.rint(hi), np.rint(lo)
+    # floor(x - offset) is rint(x) less the offset's whole number and 1 where x - rint(x) < part, which
+    # heaviside gives in float64: a bool operand would have numpy buffer a cast, 128 KB of peak RSS.
+    below_hi, below_lo = np.heaviside(part - (hi - whole_hi), 0.0), np.heaviside(part - (lo - whole_lo), 0.0)
+    lines = whole_hi - whole_lo - below_hi + below_lo
     return 2 * lines.astype(np.int64)
 
 
@@ -170,7 +183,7 @@ def filtered_crossings(rotation, offset_x, offset_y, out):
 
     The casts are unit triangles centered at the origin, at angles
     ``rotation`` in [0, 2*pi), on unit grids with offsets in [0, 1), as
-    ``sampling.draw_casts`` draws them.  ``count_x`` and ``count_y`` equal,
+    ``sampling.cast_columns`` makes them.  ``count_x`` and ``count_y`` equal,
     cast by cast, ``crossings_per_cast(make_triangle((0, 0), 1.0, rotation),
     offset_x, offset_y)`` (as float32 arrays); ``near`` marks the casts
     within ``FILTER_GUARD`` of a line, whose counts come from that float64
@@ -202,8 +215,29 @@ def filtered_crossings(rotation, offset_x, offset_y, out):
     return counts[0], counts[1], near
 
 
+def filtered_hits(u_distance, u_angle, ratio, out):
+    """Needle hits of a block of drops, ``(hit, gap, near)``, through a float32 filter.
+
+    A drop's center lies ``u_distance / 2`` from the nearest unit-spaced
+    line, at ``pi * u_angle`` to it; ``hit`` is 1.0 where ``ratio/2 *
+    sin(pi*u_angle) >= u_distance/2`` in float64.  ``near`` marks a float32
+    ``gap`` of the two sides within ``FILTER_GUARD`` of 0, decided again in
+    float64.  ``out`` is a ``filter_workspace`` for at least as many drops.
+    """
+    m, half_len = len(u_distance), ratio / 2.0
+    (gap, other, hit), near = out[0][:3, :m], out[1][:m]
+    np.multiply(u_angle, math.pi, out=gap, casting="same_kind")
+    np.sin(gap, out=gap)
+    gap *= half_len
+    gap -= np.multiply(u_distance, 0.5, out=other, casting="same_kind")
+    np.greater_equal(gap, 0, out=hit)
+    idx = np.flatnonzero(np.less(np.abs(gap, out=other), FILTER_GUARD, out=near))
+    hit[idx] = half_len * np.sin(math.pi * u_angle[idx]) >= 0.5 * u_distance[idx]
+    return hit, gap, near
+
+
 def filter_workspace(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``filtered_crossings`` on up to m casts: seven float32 rows and a boolean row."""
+    """Scratch for either filter on up to m casts or drops: seven float32 rows and a boolean row."""
     return np.empty((7, m), dtype=np.float32), np.empty(m, dtype=bool)
 
 

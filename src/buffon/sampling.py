@@ -11,13 +11,13 @@ uniform takes one word, so uniform ``u`` starts at counter ``u/4`` when
 ``u`` is a multiple of 4.  A triangle cast takes ``UNIFORMS_PER_CAST = 3``
 uniforms, so cast ``c`` starts at uniform ``3c``; a needle drop takes
 ``UNIFORMS_PER_DROP = 2``, so drop ``d`` starts at uniform ``2d``.
-``stream(first_uniform)`` keys a fresh generator there, and ``rekey`` (or
-``key_philox``, which takes the pair unchecked) keys an existing one, its
-buffer of unused words cleared, so one generator re-keyed from stream to
-stream draws what fresh streams would.  Chunks of a run that start at a
-multiple of 4 draws (the estimators cut runs at multiples of their block
-size) therefore draw exactly the casts of one straight pass over the
-stream.
+``stream(first_uniform)`` keys a fresh generator there with
+``key_philox``, which keys any Philox generator to a stream (taking the
+pair unchecked), its buffer of unused words cleared, so one generator
+re-keyed from stream to stream draws what fresh streams would.  Chunks of
+a run that start at a multiple of 4 draws (the estimators cut runs at
+multiples of their block size) therefore draw exactly the casts of one
+straight pass over the stream.
 """
 
 from __future__ import annotations
@@ -52,12 +52,8 @@ class RngConfig:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
     def stream(self, first_uniform: int = 0) -> np.random.Generator:
-        """A fresh generator positioned at uniform ``first_uniform`` of this stream (see ``rekey``)."""
-        return np.random.Generator(self.rekey(np.random.Philox(key=0), first_uniform))
-
-    def rekey(self, bit_generator, first_uniform: int = 0):
-        """Key the Philox ``bit_generator`` to this stream at uniform ``first_uniform``; see ``key_philox``."""
-        return key_philox(bit_generator, self.seed, self.stream_id, first_uniform)
+        """A fresh generator positioned at uniform ``first_uniform`` of this stream (see ``key_philox``)."""
+        return np.random.Generator(key_philox(np.random.Philox(key=0), self.seed, self.stream_id, first_uniform))
 
 
 def key_philox(bit_generator, seed: int, stream_id: int, first_uniform: int = 0):
@@ -90,27 +86,22 @@ class CastSample:
     offset_y: float
 
 
-def draw_casts(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw m casts on the unit grid as columns (rotation, offset_x, offset_y).
-
-    Rotations are uniform on [0, 2*pi) and offsets uniform on [0, 1).
-    The fixed draw order keeps sequences reproducible: cast i consumes
-    exactly the uniforms 3i, 3i+1, 3i+2 of its stream, so drawing in blocks
-    of any size gives the same casts.
-    """
-    return cast_columns(rng.random(UNIFORMS_PER_CAST * m))
-
-
 def cast_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit-grid casts of the float64 uniforms ``u``, three per cast, built in place as views of ``u``."""
+    """The unit-grid casts of the float64 uniforms ``u`` as columns (rotation, offset_x, offset_y).
+
+    Rotations are uniform on [0, 2*pi) and offsets uniform on [0, 1).  The
+    fixed draw order keeps sequences reproducible: cast i consumes exactly
+    the uniforms 3i, 3i+1, 3i+2 of its stream, so drawing in blocks of any
+    size gives the same casts.  The columns are built in place, as views of ``u``.
+    """
     u = u.reshape(-1, UNIFORMS_PER_CAST)
     u[:, 0] *= TWO_PI
     return u[:, 0], u[:, 1], u[:, 2]
 
 
 def sample_cast(rng: np.random.Generator, spacing: float) -> CastSample:
-    """Draw one cast on a grid of ``spacing``: the one-row view of ``draw_casts``, offsets scaled by ``spacing``."""
+    """Draw one cast on a grid of ``spacing``: the one-row view of ``cast_columns``, offsets scaled by ``spacing``."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be a positive finite length, got {spacing}")
-    rotation, offset_x, offset_y = draw_casts(rng, 1)
+    rotation, offset_x, offset_y = cast_columns(rng.random(UNIFORMS_PER_CAST))
     return CastSample(float(rotation[0]), float(offset_x[0]) * spacing, float(offset_y[0]) * spacing)

@@ -1,12 +1,18 @@
-"""Shared test helpers: a scripted RNG stand-in, vertex and brute-force
-crossing references that share no geometry or counting code with the
-package, and a needle oracle in ``math`` alone."""
+"""Shared test helpers: a scripted RNG stand-in, vertex, brute-force and
+exact-rational crossing references that share no geometry or counting code
+with the package, and triangle and needle oracles in ``math`` alone."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+# In exact arithmetic, multiples of pi/6 give two vertices (or a vertex and
+# the center) a shared coordinate and an axis extent of exactly one side;
+# multiples of pi/4 put a vertex on a diagonal, with equal x and y.
+TIE_ROTATIONS = sorted({k * math.pi / 6.0 for k in range(12)} | {k * math.pi / 4.0 for k in range(8)})
 
 
 class StubStream:
@@ -61,6 +67,38 @@ def brute_force_tally(v, offset_x: float, offset_y: float, spacing: float = 1.0)
                     count += 1
         counts.append(count)
     return counts[0], counts[1]
+
+
+def exact_tally(v, offset_x: float, offset_y: float) -> tuple[int, int]:
+    """Crossings of the float vertices ``v`` on the unit grid, side by side, in exact rational arithmetic.
+
+    Every vertex coordinate and offset is taken as the exact value of its
+    float, and each line ``offset + k`` as an exact rational, so no tie is
+    decided by rounding.
+    """
+    counts = []
+    for axis, offset in ((0, offset_x), (1, offset_y)):
+        coords = [Fraction(float(p[axis])) for p in v]
+        offset = Fraction(float(offset))
+        count = 0
+        for k in range(math.floor(min(coords) - offset), math.ceil(max(coords) - offset) + 1):
+            count += sum(segment_crosses_line(coords[a], coords[b], offset + k) for a, b in ((0, 1), (1, 2), (2, 0)))
+        counts.append(count)
+    return counts[0], counts[1]
+
+
+def expected_crossings_given_rotation(theta: float) -> float:
+    """Expected crossings per cast of the unit triangle at rotation ``theta`` on the unit grid, over uniform offsets.
+
+    Cauchy-Crofton: lines of one family, at unit spacing and a uniform
+    offset, straddle a convex body as many times on average as its
+    projection width across them, and each straddled line crosses two
+    sides.  So the rate is ``2 * (w_x + w_y)``, with ``w`` the widths of
+    ``reference_vertices`` along x and y.
+    """
+    v = reference_vertices((0.0, 0.0), 1.0, theta)
+    widths = [max(p[axis] for p in v) - min(p[axis] for p in v) for axis in (0, 1)]
+    return 2.0 * math.fsum(widths)
 
 
 def cast_vertices(v, i: int):

@@ -16,7 +16,7 @@ from buffon.estimators import run_batch, run_needle_trials, run_triangle_trials,
 from buffon.geometry import crossings_per_cast, make_triangle
 from buffon.oracle import expected_crossings_closed_form, expected_crossings_quadrature
 from buffon.render import grid_lines_in_window
-from buffon.sampling import RngConfig, draw_casts, sample_cast
+from buffon.sampling import RngConfig, cast_columns, sample_cast
 
 from conftest import brute_force_tally, cast_vertices
 
@@ -103,7 +103,7 @@ def test_criterion_4_needle_baseline():
 
 
 def _casts(stream_id, n=100_000):
-    rotation, offset_x, offset_y = draw_casts(RngConfig(SEED, stream_id).stream(), n)
+    rotation, offset_x, offset_y = cast_columns(RngConfig(SEED, stream_id).stream().random(3 * n))
     return make_triangle((0.0, 0.0), 1.0, rotation), offset_x, offset_y
 
 

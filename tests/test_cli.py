@@ -13,9 +13,16 @@ import pytest
 
 import buffon.cli as cli
 import buffon.estimators as estimators
+import buffon.oracle as oracle
 from buffon.cli import build_parser, main
-from buffon.estimators import run_batch
-from buffon.geometry import GridSpec, TriangleSpec
+from buffon.estimators import (
+    estimate_pi_needle,
+    estimate_pi_triangle,
+    run_batch,
+    run_needle_trials,
+    run_triangle_trials,
+)
+from buffon.geometry import GridSpec, TriangleSpec, crossings_per_cast
 from buffon.render import HistogramScene, render_cast, render_histogram, scene_for_cast
 from buffon.sampling import RngConfig, sample_cast
 
@@ -529,6 +536,53 @@ class TestBenchmarkContract:
         result = run_batch(4, 100, RngConfig(7, 0))
         svg = render_histogram(HistogramScene(bins=result.histogram, mean=result.mean))
         assert svg.startswith("<svg") and ET.fromstring(svg) is not None
+
+    def test_the_kernels_draw_through_random_size_alone(self):
+        # The bench hands each kernel a stand-in with only ``random(size)``:
+        # 1 << 20 triangle casts untraced, then both kernels traced.  Their
+        # summaries must carry ``pi_estimate`` and ``standard_error``.
+        class OnlyRandom:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, size):
+                return self._rng.random(size)
+
+        tri = run_triangle_trials(1 << 20, OnlyRandom(RngConfig(7, 0).stream()))
+        needle = run_needle_trials(300_000, OnlyRandom(RngConfig(7, 0).stream()), 0.5)
+        assert tri == run_triangle_trials(1 << 20, RngConfig(7, 0).stream())
+        assert needle == run_needle_trials(300_000, RngConfig(7, 0).stream(), 0.5)
+        for summary in (estimate_pi_triangle(tri), estimate_pi_needle(needle)):
+            assert abs(summary.pi_estimate - math.pi) < 5 * summary.standard_error
+
+    def test_the_oracle_counts_through_its_module_global_counter(self, monkeypatch):
+        # The bench patches ``oracle.crossings_per_cast`` with a counting
+        # wrapper and divides the counter's time by the number of calls.
+        value, calls = oracle.expected_crossings_quadrature(90, 50), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return crossings_per_cast(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "crossings_per_cast", counted)
+        assert oracle.expected_crossings_quadrature(90, 50) == value
+        assert len(calls) > 0
+
+    def test_the_batch_call_is_made_through_the_cli(self, monkeypatch, tmp_path, capsys):
+        # The bench looks for an ``estimators.run_batch`` span under ``cli.main``.
+        assert (cli.run_batch.__module__, cli.run_batch.__name__) == ("buffon.estimators", "run_batch")
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", recorded)
+        csv, svg = tmp_path / "runs.csv", tmp_path / "histogram.svg"
+        args = ["batch", "--runs", "4", "--trials", "100", "--seed", "3", "--csv", str(csv), "--svg", str(svg)]
+        assert main(args) == 0
+        assert len(calls) == 1 and csv.exists() and svg.exists()
+        capsys.readouterr()
 
 
 class TestTopLevel:

@@ -26,7 +26,7 @@ from buffon.estimators import (
     tally_casts,
 )
 from buffon.geometry import FILTER_GUARD, crossings_per_cast, filter_workspace, filtered_crossings, make_triangle
-from buffon.sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, draw_casts, sample_cast
+from buffon.sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_columns, sample_cast
 
 from conftest import StubStream, brute_force_tally
 
@@ -69,7 +69,7 @@ class TestRunTriangleTrials:
         # filter flags near keep their unit counts.
         for seed in (0, 1, 42):
             tally = run_triangle_trials(300_000, RngConfig(seed, 0).stream())
-            casts = draw_casts(RngConfig(seed, 0).stream(), 300_000)
+            casts = cast_columns(RngConfig(seed, 0).stream().random(UNIFORMS_PER_CAST * 300_000))
             near = filtered_crossings(*casts, filter_workspace(300_000))[2]
             unit, scaled = _float64_counts(*casts), _float64_counts(*casts, spacing)
             count_x, count_y = (np.where(near, u, s) for u, s in zip(unit, scaled))
@@ -615,7 +615,7 @@ def _float64_rows(seed, streams, n, method):
     for k in streams:
         rng = RngConfig(seed, k).stream()
         if method == "triangle":
-            count_x, count_y = _float64_counts(*draw_casts(rng, n))
+            count_x, count_y = _float64_counts(*cast_columns(rng.random(UNIFORMS_PER_CAST * n)))
             total = count_x + count_y
             rows.append((int(count_x.sum()), int(count_y.sum()), int((total * total).sum())))
         else:

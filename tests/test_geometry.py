@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from buffon.geometry import (
@@ -13,12 +13,20 @@ from buffon.geometry import (
     crossings_per_cast,
     filter_workspace,
     filtered_crossings,
+    filtered_hits,
     float32_extents,
     make_triangle,
 )
-from buffon.sampling import RngConfig, draw_casts
+from buffon.sampling import RngConfig, cast_columns
 
-from conftest import brute_force_tally, cast_vertices, reference_vertices, segment_crosses_line
+from conftest import (
+    TIE_ROTATIONS,
+    brute_force_tally,
+    cast_vertices,
+    exact_tally,
+    reference_vertices,
+    segment_crosses_line,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -27,14 +35,8 @@ SQRT3 = math.sqrt(3.0)
 DYADIC = ((0.5, 0.0), (-0.25, 0.5), (-0.25, -0.5))
 
 
-# In exact arithmetic, multiples of pi/6 give two vertices (or a vertex and
-# the center) a shared coordinate and an axis extent of exactly one side;
-# multiples of pi/4 put a vertex on a diagonal, with equal x and y.
-TIE_ROTATIONS = sorted({k * math.pi / 6.0 for k in range(12)} | {k * math.pi / 4.0 for k in range(8)})
-
-
 def _random_casts(seed, n):
-    return draw_casts(RngConfig(seed, 0).stream(), n)
+    return cast_columns(RngConfig(seed, 0).stream().random(3 * n))
 
 
 def _max_abs_gap(v, w):
@@ -247,22 +249,17 @@ class TestCrossingsPerCast:
 
 
 class TestCrossingsAtTies:
-    """Property tests of the counter against the brute-force side-by-side
-    count on casts built to hit the half-open rule's ties.
+    """Property tests of the counter on casts built to hit the half-open rule's ties.
 
     A line through the offset itself, or any line when the offset is 0 on
-    a unit grid, sits at an exact position, so both counts decide it
-    exactly.  A second vertex within rounding of another line (a double
-    tie: the float triangle spans a whole spacing) is decided by rounding,
-    which the two counts do differently (``hi - offset`` against ``offset
-    + k*spacing``); such casts are left out of the equality checks.
+    a unit grid, sits at an exact position.  A second vertex within rounding
+    of another line (a double tie: the float triangle spans about a whole
+    spacing) is decided by how ``hi - offset`` or ``offset + k`` rounds in a
+    float count, so the counter is checked against ``exact_tally``, which
+    decides every tie of the same float vertices in rational arithmetic.
     """
 
-    @staticmethod
-    def _near_other_line(v, axis, offset):
-        gaps = [float(p[axis]) - offset for p in v]
-        return any(abs(g - round(g)) < 1e-12 and round(g) != 0 for g in gaps)
-
+    @example(rotation=2.0943951023931953, vertex=0, axis=1, other_offset=0.0)  # (2, 4), not (2, 2)
     @given(
         rotation=st.sampled_from(TIE_ROTATIONS),
         vertex=st.integers(0, 2),
@@ -273,8 +270,7 @@ class TestCrossingsAtTies:
         v = make_triangle((0.0, 0.0), 1.0, rotation)
         offsets = [other_offset, other_offset]
         offsets[axis] = float(v[vertex][axis])
-        assume(not any(self._near_other_line(v, a, offsets[a]) for a in (0, 1)))
-        assert crossings_per_cast(v, *offsets) == brute_force_tally(v, *offsets)
+        assert crossings_per_cast(v, *offsets) == exact_tally(v, *offsets)
 
     @given(
         rotation=st.sampled_from(TIE_ROTATIONS) | st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -283,7 +279,7 @@ class TestCrossingsAtTies:
     )
     def test_offset_zero(self, rotation, cx, cy):
         v = make_triangle((cx, cy), 1.0, rotation)
-        assert crossings_per_cast(v, 0.0, 0.0) == brute_force_tally(v, 0.0, 0.0)
+        assert crossings_per_cast(v, 0.0, 0.0) == brute_force_tally(v, 0.0, 0.0) == exact_tally(v, 0.0, 0.0)
 
     @given(
         rotation=st.sampled_from(TIE_ROTATIONS),
@@ -292,10 +288,29 @@ class TestCrossingsAtTies:
     )
     def test_tie_rotations_any_offset(self, rotation, offset_x, offset_y):
         v = make_triangle((0.0, 0.0), 1.0, rotation)
-        assume(not (self._near_other_line(v, 0, offset_x) or self._near_other_line(v, 1, offset_y)))
         count_x, count_y = crossings_per_cast(v, offset_x, offset_y)
-        assert (count_x, count_y) == brute_force_tally(v, offset_x, offset_y)
-        assert count_x in (0, 2) and count_y in (0, 2)
+        assert (count_x, count_y) == exact_tally(v, offset_x, offset_y)
+        # Two lines of a family cross the cast only where its float extent spans a whole spacing.
+        for count, axis in ((count_x, 0), (count_y, 1)):
+            coords = [float(p[axis]) for p in v]
+            assert count in (0, 2) or (count == 4 and max(coords) - min(coords) >= 1.0)
+
+    @pytest.mark.parametrize("rotation", TIE_ROTATIONS)
+    def test_every_vertex_and_its_neighbouring_floats_as_offsets(self, rotation):
+        # Each vertex coordinate, whole spacings from it and a few floats on
+        # either side as the offset: every double tie of the tie rotations.
+        v = make_triangle((0.0, 0.0), 1.0, rotation)
+        for axis in (0, 1):
+            for p in v:
+                for k in (-1.0, 0.0, 1.0):
+                    offset = float(p[axis]) + k
+                    for _ in range(3):
+                        offset = math.nextafter(offset, -math.inf)
+                    for _ in range(7):
+                        offsets = [0.5, 0.5]
+                        offsets[axis] = offset
+                        assert crossings_per_cast(v, *offsets) == exact_tally(v, *offsets)
+                        offset = math.nextafter(offset, math.inf)
 
 
 def _float64_counts(rotation, offset_x, offset_y, scale=1.0):
@@ -315,7 +330,7 @@ class TestFilteredCrossings:
         for seed in (0, 1, 2, 3, 7):
             rng = RngConfig(seed, 0).stream()
             for _ in range(4):
-                rotation, offset_x, offset_y = draw_casts(rng, 1 << 18)
+                rotation, offset_x, offset_y = cast_columns(rng.random(3 << 18))
                 count_x, count_y, near = filtered_crossings(rotation, offset_x, offset_y, filter_workspace(len(rotation)))
                 exact_x, exact_y = _float64_counts(rotation, offset_x, offset_y, spacing)
                 same = (count_x == exact_x) & (count_y == exact_y)
@@ -369,3 +384,44 @@ class TestFilteredCrossings:
         coords = [float(p[axis]) for p in v]
         if abs(shift) < FILTER_GUARD and coords[vertex] in (min(coords), max(coords)):
             assert near[0]
+
+
+# A needle length drawn once from a fixed stream, beside the lengths 0.5 and 1.
+DRAWN_RATIO = 0.05 + 0.95 * float(RngConfig(63, 0).stream().random())
+
+
+class TestFilteredHits:
+    """The needle's float32 filter against the float64 comparison it stands in for."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, DRAWN_RATIO])
+    def test_equals_the_float64_comparison_drop_by_drop(self, ratio):
+        u = RngConfig(62, 0).stream().random(2 << 20).reshape(-1, 2)
+        hit, _, near = filtered_hits(u[:, 0], u[:, 1], ratio, filter_workspace(len(u)))
+        assert hit.dtype == np.float32
+        assert np.array_equal(hit, ratio / 2 * np.sin(math.pi * u[:, 1]) >= u[:, 0] / 2)
+        # A gap within FILTER_GUARD of 0: about 4 * FILTER_GUARD of the drops, or less.
+        assert 0 < near.mean() < 0.002
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, DRAWN_RATIO])
+    def test_float32_gap_error_is_far_inside_the_guard(self, ratio):
+        # A 1024 x 1024 grid of (distance, angle) uniforms on [0, 1), in slabs
+        # of 256 angles: the float32 gap against the float64 one.
+        grid, worst = np.arange(1024) / 1024, 0.0
+        for first in range(0, 1024, 256):
+            u_angle, u_distance = (a.ravel() for a in np.meshgrid(grid[first : first + 256], grid, indexing="ij"))
+            _, gap, _ = filtered_hits(u_distance, u_angle, ratio, filter_workspace(len(u_angle)))
+            exact = ratio / 2 * np.sin(math.pi * u_angle) - u_distance / 2
+            worst = max(worst, float(np.max(np.abs(gap - exact))))
+        assert worst < FILTER_GUARD / 64, f"float32 error {worst:.3g} against a guard of {FILTER_GUARD:.3g}"
+
+    def test_near_drops_are_decided_in_float64(self):
+        # Drops whose distance sits a few float64 ulps from the needle's reach:
+        # the float32 gap cannot tell them apart, the float64 comparison can.
+        u_angle = np.linspace(0.01, 0.99, 1000)
+        reach = 0.5 * np.sin(math.pi * u_angle)
+        u_distance = np.concatenate([np.nextafter(2 * reach, 0.0), 2 * reach, np.nextafter(2 * reach, 1.0)])
+        u_angle = np.tile(u_angle, 3)
+        hit, _, near = filtered_hits(u_distance, u_angle, 1.0, filter_workspace(len(u_angle)))
+        assert near.all()
+        assert np.array_equal(hit, 0.5 * np.sin(math.pi * u_angle) >= u_distance / 2)
+        assert 0 < hit.sum() < len(hit)

@@ -202,19 +202,19 @@ GOLDEN = {
     },
     "validate-90": {
         "code": 2,
-        "stdout": "65b08a9f08e1ad5e1b913bf10cdb755d6f3d8be40894571180fc2c543b170126",
+        "stdout": "36dcfa71c237e757d5bd278166d5fc36dc3eac87144c638f34447df05be24010",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},
     },
     "validate-90x50": {
         "code": 2,
-        "stdout": "68988d841bdbaff7ef1fe09eb65406c3163cc12edaf5d7c05d0c874aa8818d41",
+        "stdout": "d050a6804337447f1930d68ed35be052d22df5d963f1a647f3ccd07140ae85f2",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},
     },
     "validate-90x50x50": {
         "code": 2,
-        "stdout": "68988d841bdbaff7ef1fe09eb65406c3163cc12edaf5d7c05d0c874aa8818d41",
+        "stdout": "d050a6804337447f1930d68ed35be052d22df5d963f1a647f3ccd07140ae85f2",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {},
     },

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import buffon.oracle as oracle
@@ -10,11 +11,42 @@ from buffon.oracle import (
     expected_crossings_quadrature,
     mean_width_identity,
 )
-from buffon.sampling import RngConfig, draw_casts
+from buffon.sampling import RngConfig, cast_columns
 
-from conftest import needle_hit_probability
+from conftest import TIE_ROTATIONS, expected_crossings_given_rotation, needle_hit_probability
 
 TARGET = 12.0 / math.pi
+
+
+def _analytic_mean(n: int) -> float:
+    """The midpoint mean of ``expected_crossings_given_rotation`` over n rotations in one period, [0, 2*pi/3)."""
+    step = 2.0 * math.pi / 3.0 / n
+    return math.fsum(expected_crossings_given_rotation((k + 0.5) * step) for k in range(n)) / n
+
+
+class TestAnalyticOracle:
+    """The counter and the lattice oracle against ``expected_crossings_given_rotation``, which uses ``math`` alone.
+
+    Over the offsets k/n, the lines of one family that the cast straddles
+    are the points of the lattice (1/n)Z in ``(lo, hi]``, so their mean is
+    within 1/n of the width ``hi - lo``; two crossings per line and two
+    families make the bound 4/n on the mean crossings.
+    """
+
+    def test_rotation_mean_is_12_over_pi(self):
+        assert abs(_analytic_mean(3600) - TARGET) < 1e-7
+
+    @pytest.mark.parametrize("rotation", sorted({*TIE_ROTATIONS, 0.1, 1.0, 2.5, 4.0, 6.2}))
+    @pytest.mark.parametrize("n", [50, 200, 997])
+    def test_offset_lattice_mean_at_a_rotation(self, rotation, n):
+        offsets = np.arange(n) / n
+        count_x, count_y = crossings_per_cast(make_triangle((0.0, 0.0), 1.0, rotation), offsets, offsets)
+        mean = int((count_x + count_y).sum()) / n
+        assert abs(mean - expected_crossings_given_rotation(rotation)) <= 4 / n
+
+    @pytest.mark.parametrize("n_theta, n_offset", [(8, 8), (16, 16), (90, 50), (90, 90), (360, 200), (45, 997)])
+    def test_quadrature_against_the_analytic_mean(self, n_theta, n_offset):
+        assert abs(expected_crossings_quadrature(n_theta, n_offset) - _analytic_mean(n_theta)) <= 4 / n_offset
 
 
 class TestQuadrature:
@@ -97,7 +129,7 @@ class TestClosedForm:
         # A million casts of the counter at side != spacing land within 5
         # standard errors of 12 * side / (pi * spacing).  The unit offsets are
         # scaled up to the grid.
-        rotation, offset_x, offset_y = draw_casts(RngConfig(23, 0).stream(), 1_000_000)
+        rotation, offset_x, offset_y = cast_columns(RngConfig(23, 0).stream().random(3_000_000))
         v = make_triangle((0.0, 0.0), side, rotation)
         count_x, count_y = crossings_per_cast(v, spacing * offset_x, spacing * offset_y, spacing)
         total = count_x + count_y

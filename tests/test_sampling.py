@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from buffon.estimators import run_triangle_trials
-from buffon.sampling import CastSample, RngConfig, draw_casts, key_philox, sample_cast
+from buffon.sampling import CastSample, RngConfig, cast_columns, key_philox, sample_cast
 
 from conftest import StubStream
 
@@ -17,19 +17,29 @@ CHI2_CRIT_99DOF_P999 = 148.23035916510173
 
 def test_rotation_range_and_distinct():
     rng = RngConfig(1, 0).stream()
-    (first, second), _, _ = draw_casts(rng, 2)
+    (first, second), _, _ = cast_columns(rng.random(6))
     assert first != second
     for value in (first, second):
         assert 0.0 <= value < TWO_PI
 
 
 def test_rotation_sequences_reproducible():
-    first = draw_casts(RngConfig(9, 4).stream(), 1)[0]
-    seq1 = draw_casts(RngConfig(9, 4).stream(), 50)[0]
+    first = cast_columns(RngConfig(9, 4).stream().random(3))[0]
+    seq1 = cast_columns(RngConfig(9, 4).stream().random(3 * 50))[0]
     rng2 = RngConfig(9, 4).stream()
-    seq2 = np.concatenate([draw_casts(rng2, 20)[0], draw_casts(rng2, 30)[0]])
+    seq2 = np.concatenate([cast_columns(rng2.random(3 * 20))[0], cast_columns(rng2.random(3 * 30))[0]])
     assert seq1.tolist() == seq2.tolist()  # block size does not change the casts
     assert seq1[0] == first[0]
+
+
+def test_cast_columns_take_three_uniforms_per_cast_in_place():
+    # Cast i is uniforms 3i, 3i+1, 3i+2: the rotation scaled to [0, 2*pi), then the offsets.
+    u = RngConfig(10, 0).stream().random(3 * 100)
+    drawn = u.copy()
+    rotation, offset_x, offset_y = cast_columns(u)
+    assert all(np.shares_memory(column, u) for column in (rotation, offset_x, offset_y))
+    assert np.array_equal(rotation, TWO_PI * drawn[0::3])
+    assert np.array_equal(offset_x, drawn[1::3]) and np.array_equal(offset_y, drawn[2::3])
 
 
 def test_rotation_mean_converges_to_pi():
@@ -39,9 +49,9 @@ def test_rotation_mean_converges_to_pi():
 
 
 def test_offset_range_unit_and_scaled():
-    # draw_casts casts on the unit grid; sample_cast scales to any spacing.
+    # cast_columns casts on the unit grid; sample_cast scales to any spacing.
     rng = RngConfig(13, 0).stream()
-    _, offset_x, offset_y = draw_casts(rng, 10_000)
+    _, offset_x, offset_y = cast_columns(rng.random(3 * 10_000))
     for samples in (offset_x, offset_y):
         assert ((0.0 <= samples) & (samples < 1.0)).all()
     for _ in range(10_000):
@@ -154,7 +164,7 @@ def test_stream_start_off_a_counter_boundary(draw, uniforms):
     with pytest.raises(ValueError, match=f"uniform {first_uniform} is not a nonnegative multiple of 4"):
         RngConfig(42, 3).stream(first_uniform)
     with pytest.raises(ValueError, match="multiple of 4"):
-        RngConfig(42, 3).rekey(np.random.Philox(key=0), first_uniform)
+        key_philox(np.random.Philox(key=0), 42, 3, first_uniform)
 
 
 @pytest.mark.parametrize("uniforms, first_draw", [(3, 0), (3, 4), (3, 65536), (2, 0), (2, 6), (2, 100002)])
@@ -164,9 +174,8 @@ def test_one_generator_rekeyed_across_streams_draws_fresh_streams(uniforms, firs
     rng, first_uniform = RngConfig(0, 0).stream(), first_draw * uniforms
     for seed in (0, 1 << 63, (1 << 64) - 1):
         for stream_id in (0, 5, (1 << 63) + 1, (1 << 64) - 1):
-            config = RngConfig(seed, stream_id)
-            config.rekey(rng.bit_generator, first_uniform)
-            assert np.array_equal(rng.random(7), config.stream(first_uniform).random(7))
+            key_philox(rng.bit_generator, seed, stream_id, first_uniform)
+            assert np.array_equal(rng.random(7), RngConfig(seed, stream_id).stream(first_uniform).random(7))
 
 
 @pytest.mark.parametrize("seed, stream_id, first_uniform", [
@@ -174,15 +183,15 @@ def test_one_generator_rekeyed_across_streams_draws_fresh_streams(uniforms, firs
     ((1 << 64) - 1, (1 << 63) + 3, 12),
     (0, (1 << 64) - 1, 4 << 70),
 ])
-def test_rekey_draws_what_numpy_keys_from_the_counter_and_key(seed, stream_id, first_uniform):
-    # numpy's own Philox(counter, key) shares no code with rekey; the key is a
+def test_key_philox_draws_what_numpy_keys_from_the_counter_and_key(seed, stream_id, first_uniform):
+    # numpy's own Philox(counter, key) shares no code with key_philox; the key is a
     # uint64 array, and the counter, past 2**64 in the last case, a Python int.
     expected = np.random.Generator(
         np.random.Philox(counter=first_uniform // 4, key=np.array([seed, stream_id], dtype=np.uint64))
     ).random(9)
     rng = RngConfig(7, 7).stream()
     rng.random(3)  # leaves words in the buffer, which re-keying must clear
-    RngConfig(seed, stream_id).rekey(rng.bit_generator, first_uniform)
+    assert key_philox(rng.bit_generator, seed, stream_id, first_uniform) is rng.bit_generator
     assert np.array_equal(rng.random(9), expected)
-    key_philox(rng.bit_generator, seed, stream_id, first_uniform)
+    key_philox(rng.bit_generator, seed, stream_id, first_uniform)  # and again, after 9 draws
     assert np.array_equal(rng.random(9), expected)
