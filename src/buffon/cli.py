@@ -224,7 +224,7 @@ def cmd_validate(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="buffon", description="Monte Carlo pi estimation by casting shapes on a grid")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = "worker processes (default: usable CPUs; at most one process per usable CPU, this one included)"
+    workers_help = "worker processes (default: usable CPUs; at most one casting process per usable CPU)"
 
     p = sub.add_parser("estimate", help="single run: cast and print the pi estimate")
     p.add_argument("--method", choices=("triangle", "needle"), default="triangle")

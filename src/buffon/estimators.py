@@ -18,10 +18,11 @@ from a Philox counter boundary, as one int64 row per stream, re-keying one
 generator at each later stream's first cast (see ``sampling``).  Tallies of
 one stream sum exactly, so no output byte depends on how runs are cut or
 packed, or on the worker count.  ``SplitRun``, the one scheduler, cuts the
-casts into one contiguous share per process, at most one per usable CPU:
-the calling process tallies the first, and a child forked with ``os.fork``
-each other one, returning its rows over a pipe, with no executor, queue or
-pickling to start or import.
+casts into one contiguous share per casting process, at most one per usable
+CPU.  A child forked with ``os.fork`` tallies each share and returns its
+rows over a pipe, with no executor, queue or pickling to start or import,
+while the calling process only reads the pipes.  It casts only a single
+share, or the first share of a single run that its caller draws itself.
 """
 
 from __future__ import annotations
@@ -309,18 +310,22 @@ class SplitRun:
     """``runs`` runs of ``trials`` casts, run k on stream ``config.stream_id + k``, split over processes.
 
     The runs are laid end to end in stream order and cut evenly into one
-    contiguous share per process, at most ``workers`` and one per usable CPU
-    (one without ``os.fork``).  Each cut is rounded up to a ``_BLOCK``
-    boundary within its run, so shares differ by less than two blocks, and
-    empty shares are dropped.  The first share, the casts before ``head``, is
-    this process's: all of them at one worker, or for a single run of at most
-    one block.  Entering the block forks one child per other share; each
-    tallies its share as one ``tally_casts`` task and writes the rows to its
-    own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps them.
+    contiguous share per casting process, at most ``workers`` and one per
+    usable CPU (one without ``os.fork``).  Each cut is rounded up to a
+    ``_BLOCK`` boundary within its run, so shares differ by less than two
+    blocks, and empty shares are dropped.  The first share is the casts
+    before ``head``: all of them at one worker, or for a single run of at
+    most one block.  Entering the block forks one child per other share;
+    each tallies its share as one ``tally_casts`` task and writes the rows
+    to its own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps
+    them.
 
-    ``join()`` tallies this process's share itself.  A caller of a single run
-    may instead draw its first ``head`` casts from ``config.stream()`` with
-    the trial loop and hand their tally to ``join``::
+    ``join()`` forks one more child for the first share when there are
+    others, and then only reads pipes: this process never fills a block, so
+    it maps no workspace and imports no ``numpy.random``.  A single share it
+    tallies itself.  A caller of a single run may instead draw its first
+    ``head`` casts from ``config.stream()`` with the trial loop and hand
+    their tally to ``join``::
 
         with SplitRun(trials, config, workers=workers) as run:
             (tally,) = run.join()
@@ -355,30 +360,33 @@ class SplitRun:
             run, cast = divmod(k * end // processes, trials)
             cuts.append(run * trials + min(trials, -(-cast // _BLOCK) * _BLOCK))
         cuts.append(end)
-        # ``(start, stop)`` in the runs laid end to end; the first share is this process's.
+        # ``(start, stop)`` in the runs laid end to end; the first share ends at ``head``.
         self._shares = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
         self.head = self._shares[0][1]
         self._children = {}  # the pid and the runs of each child not yet reaped, by its pipe's read end
 
     def __enter__(self) -> "SplitRun":
         try:
-            for a, b in self._shares[1:]:
-                run, cast = divmod(a, self.trials)
-                stream = self.config.stream_id + run
-                task = (self.config.seed, stream, cast, b - a, self.trials, self.method, self.ratio)
-                read, write = os.pipe()
-                try:
-                    pid = os.fork() or self._child(read, write, task)  # a child never returns
-                except BaseException:
-                    os.close(read)
-                    raise
-                finally:
-                    os.close(write)
-                self._children[read] = pid, slice(run, -(-b // self.trials))
+            for start, stop in self._shares[1:]:
+                self._fork(start, stop)
         except BaseException:
             self.__exit__()
             raise
         return self
+
+    def _fork(self, start: int, stop: int) -> None:
+        """Fork a child that tallies the casts ``[start, stop)`` as one ``tally_casts`` task into its own pipe."""
+        run, cast = divmod(start, self.trials)
+        task = (self.config.seed, self.config.stream_id + run, cast, stop - start, self.trials, self.method, self.ratio)
+        read, write = os.pipe()
+        try:
+            pid = os.fork() or self._child(read, write, task)  # a child never returns
+        except BaseException:
+            os.close(read)
+            raise
+        finally:
+            os.close(write)
+        self._children[read] = pid, slice(run, -(-stop // self.trials))
 
     def _child(self, read: int, write: int, task: tuple) -> None:
         """In a forked child: tally ``task``, write its int64 rows to ``write``, and ``os._exit``."""
@@ -394,17 +402,19 @@ class SplitRun:
             os._exit(1)
 
     def tallies(self, head: Tally | None = None) -> np.ndarray:
-        """Each run's ``tally_casts`` row, in stream order: this process's share plus the children's.
+        """Each run's ``tally_casts`` row, in stream order, summed over the shares.
 
-        ``head`` is this process's share of a single run, drawn by the caller.  A child
-        that dies, or exits without all of its rows, raises WorkerDiedError.
+        ``head`` is the first share of a single run, drawn by the caller;
+        without it, one more child tallies that share, or this process when
+        it is the only one.  A child that dies, or exits without all of its
+        rows, raises WorkerDiedError.
         """
-        seed, first = self.config.seed, self.config.stream_id
         totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
-        if head is None:
-            totals[: -(-self.head // self.trials)] += tally_casts(
-                (seed, first, 0, self.head, self.trials, self.method, self.ratio)
-            )
+        if head is None and self._children:
+            self._fork(*self._shares[0])
+        elif head is None:
+            seed, first = self.config.seed, self.config.stream_id
+            totals[:] = tally_casts((seed, first, 0, self.head, self.trials, self.method, self.ratio))
         elif self.runs != 1 or (head.method, head.trials, head.ratio) != (self.method, self.head, self.ratio):
             raise ValueError(
                 f"join takes the head of a single run, {self.head} casts of the {self.method}; "

@@ -163,11 +163,13 @@ def _axis_crossings(a, b, c, offset, spacing):
     straddled lines is a difference of floors; each straddled line crosses
     exactly two sides of the triangle.  The floors are of the exact
     differences: ``x - rint(x)`` is exact (Sterbenz's lemma), so on the unit
-    grid even a cast with two vertices on lines is counted exactly.
+    grid even a cast with two vertices on lines is counted exactly.  There
+    ``x / 1 == x``, so the three divisions are skipped.
     """
-    lo = np.minimum(np.minimum(a, b), c) / spacing
-    hi = np.maximum(np.maximum(a, b), c) / spacing
-    offset = np.divide(offset, spacing)
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    if spacing != 1:
+        lo, hi, offset = lo / spacing, hi / spacing, np.divide(offset, spacing)
     part = offset - np.rint(offset)
     part = np.where(part == -0.5, 0.5, part)  # in (-1/2, 1/2], less than 1 from any x - rint(x)
     whole_hi, whole_lo = np.rint(hi), np.rint(lo)

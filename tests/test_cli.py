@@ -393,7 +393,7 @@ class TestWorkers:
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
     def test_ctrl_c_stops_a_long_batch_without_a_traceback(self):
-        # Four runs of 1e10 casts: this process and one child each tally two runs as one task.
+        # Four runs of 1e10 casts: each of two children tallies two runs as one task.
         argv = ["-m", "buffon.cli", "batch", "--runs", "4", "--trials", "10000000000", "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
@@ -415,29 +415,81 @@ class TestWorkers:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert main([*argv, "--seed", "1"]) == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["estimate", "--trials", str(10 * 65536)],
-        ["batch", "--runs", "100", "--trials", "1000"],
+    @pytest.mark.parametrize("argv, children, own_loops", [
+        (["estimate", "--trials", str(10 * 65536)], 1, 1),
+        (["batch", "--runs", "100", "--trials", "1000"], 2, 0),
     ], ids=["estimate", "batch"])
-    def test_processes_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv):
-        # 100000 workers on two usable CPUs fork one child, with the same
-        # output as one worker.  The recorder refuses a second fork, so this
-        # test never starts more than one child.
-        forks, fork = [], os.fork
+    def test_processes_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv, children, own_loops):
+        # 100000 workers on two usable CPUs make two casting processes, with
+        # the same output as one worker: estimate's caller draws the head and
+        # forks one child, and batch's caller forks two and casts nothing.
+        # The recorder refuses a fork past those, so this test never starts more.
+        forks, fork, loops, trial_loop = [], os.fork, [], estimators._tally_runs
 
         def recording_fork():
-            if forks:
-                raise AssertionError("a second worker process was forked")
+            if len(forks) == children:
+                raise AssertionError("one more worker process was forked")
             forks.append(len(forks))
             return fork()
 
+        def recording_loop(*args, **kwargs):
+            if os.getpid() == TEST_PID:
+                loops.append(args[1])
+            return trial_loop(*args, **kwargs)
+
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimators, "_tally_runs", recording_loop)
         monkeypatch.setattr(os, "fork", recording_fork)
         assert main([*argv, "--seed", "1", "--workers", "100000"]) == 0
         capped = capsys.readouterr()
-        assert forks == [0]
+        assert (len(forks), len(loops)) == (children, own_loops)
         assert main([*argv, "--seed", "1", "--workers", "1"]) == 0
         assert capsys.readouterr() == capped
+
+    @pytest.mark.parametrize("argv, workers, own", [
+        (["batch", "--runs", "50", "--trials", "1000"], 2, 0),
+        (["batch", "--runs", "50", "--trials", "1000"], 3, 0),
+        (["batch", "--runs", "1", "--trials", str(4 * 65536), "--method", "needle"], 3, 0),
+        (["estimate", "--trials", str(4 * 65536)], 2, 1),
+    ], ids=["batch-2", "batch-3", "batch-one-run-3", "estimate-2"])
+    def test_a_batch_caller_casts_nothing(self, monkeypatch, tmp_path, capsys, argv, workers, own):
+        # Every process appends its pid to the log each time it enters the
+        # trial loop, which ``tally_casts`` and the head's kernel both run.  A
+        # batch's caller never does, but each of its ``workers`` children does
+        # once; ``estimate``'s caller does once, for the head it draws.
+        log, trial_loop = tmp_path / "pids", estimators._tally_runs
+
+        def logged_loop(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return trial_loop(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(estimators, "_tally_runs", logged_loop)
+        assert main([*argv, "--seed", "4", "--workers", str(workers)]) == 0
+        capsys.readouterr()
+        pids = [int(pid) for pid in log.read_text().split()]
+        assert pids.count(TEST_PID) == own
+        children = [pid for pid in pids if pid != TEST_PID]
+        assert len(set(children)) == len(children) == workers - own
+
+    @pytest.mark.parametrize("workers, loaded", [("2", False), ("1", True)])
+    def test_a_forking_batch_caller_imports_no_numpy_random(self, workers, loaded):
+        # Only a process that draws imports numpy.random, so a batch's caller
+        # that forks every share never maps it.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        script = f"""
+import sys
+import buffon.cli as cli, buffon.estimators as estimators
+estimators._usable_cpus = lambda: 2
+code = cli.main(["batch", "--runs", "20", "--trials", "1000", "--seed", "1", "--workers", "{workers}"])
+print(code, "numpy.random" in sys.modules)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
     @pytest.mark.parametrize("fault, message", [
         ("none", ""),

@@ -361,11 +361,12 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
     def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, cpus):
-        # Blocks of 256 casts: at 2 workers, or 3 on 2 CPUs, this process draws
-        # 768 of the 1029 casts and one child the other 261; at 3 workers on
-        # more CPUs it draws 512 and two children take 256 and 261.  The first
-        # share is drawn by the caller, as the CLI does, or tallied by
-        # ``join()``.  A batch of 3 such runs is cut the same way, inside runs.
+        # Blocks of 256 casts: at 2 workers, or 3 on 2 CPUs, the first share
+        # is 768 of the 1029 casts and one child takes the other 261; at 3
+        # workers on more CPUs it is 512 and two children take 256 and 261.
+        # The first share is drawn by the caller, as the CLI's ``estimate``
+        # does, or tallied by one more child that ``join()`` forks.  A batch
+        # of 3 such runs is cut the same way, inside runs.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         config, ratio = RngConfig(19, 4), 0.5 if method == "needle" else 1.0
@@ -394,10 +395,10 @@ class TestChunkedRuns:
         assert (run.head, run._shares) == (900003, [(0, 900003)])
 
     def test_batch_runs_longer_than_a_block(self, monkeypatch, tmp_path):
-        # Blocks of 256 casts and runs of 1003: each process runs one task, a
-        # stretch of whole and cut runs, this process's from the first cast;
-        # the tasks tile the batch, which equals straight runs.  One run at 2
-        # workers is split between this process (2 blocks) and one child.
+        # Blocks of 256 casts and runs of 1003: each child runs one task, a
+        # stretch of whole and cut runs, one of them from the first cast, and
+        # this process none; the tasks tile the batch, which equals straight
+        # runs.  One run at 2 workers is split between two children.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         for runs, workers in [(3, 2), (7, 3), (1, 2)]:
@@ -405,11 +406,10 @@ class TestChunkedRuns:
             _log_tasks(monkeypatch, log)
             result = run_batch(runs, 1003, RngConfig(20, 0), workers=workers)
             tasks = _child_tasks(log)
-            assert len({pid for pid, *_ in tasks}) == len(tasks) == workers - 1
-            own = [task[1:] for task in _own_tasks(log)]
-            assert len(own) == 1 and own[0][:2] == (0, 0)
+            assert len({pid for pid, *_ in tasks}) == len(tasks) == workers
+            assert _own_tasks(log) == []
             edge = 0
-            for stream, start, casts in sorted(own + [task[1:] for task in tasks]):
+            for stream, start, casts in sorted(task[1:] for task in tasks):
                 assert (stream * 1003 + start, start % 256) == (edge, 0)
                 edge += casts
             assert edge == runs * 1003
@@ -420,17 +420,16 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_short_runs_go_whole_one_task_per_child(self, monkeypatch, tmp_path, workers):
         # 50 runs of 300 casts, shorter than a block, so every cut falls on a
-        # run's first cast: each child tallies whole runs as one task, and this
-        # process the first runs.
+        # run's first cast: each child tallies whole runs as one task, the
+        # first child the first runs, and this process none.
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         _log_tasks(monkeypatch, tmp_path / "tasks")
         result = run_batch(50, 300, RngConfig(22, 0), workers=workers)
         children = _child_tasks(tmp_path / "tasks")
-        assert len({pid for pid, *_ in children}) == len(children) == workers - 1
-        tasks = sorted(task[1:] for task in children + _own_tasks(tmp_path / "tasks"))
-        assert len(tasks) == workers
+        assert len({pid for pid, *_ in children}) == len(children) == workers
+        assert _own_tasks(tmp_path / "tasks") == []
         next_run = 0
-        for stream, start, casts in tasks:
+        for stream, start, casts in sorted(task[1:] for task in children):
             assert (stream, start, casts % 300) == (next_run, 0, 0)
             next_run += casts // 300
         assert next_run == 50
@@ -438,7 +437,7 @@ class TestChunkedRuns:
 
     def test_children_take_equal_shares_of_the_casts(self, monkeypatch, tmp_path):
         # 20 runs of 300001 casts at 2 workers: the cut falls halfway, on run
-        # 10's first cast, so this process and one child take ten runs each.
+        # 10's first cast, so each of two children takes ten runs.
         log = tmp_path / "casts"
 
         def stand_in(task):
@@ -480,8 +479,8 @@ class TestChunkedRuns:
     )
     def test_shares_cover_every_cast_once_in_balanced_block_aligned_pieces(self, trials, runs, workers, cpus, method):
         # Positions p in the runs laid end to end are the casts (p // trials,
-        # p % trials): this process's share is [0, head), and the children's
-        # follow it end to end up to the last run's last cast.
+        # p % trials): the first share is [0, head), and the others follow it
+        # end to end up to the last run's last cast.
         block = estimators._BLOCK
         with mock.patch.object(estimators, "_usable_cpus", lambda: cpus):
             run = SplitRun(trials, RngConfig(1, 0), method, workers=workers, runs=runs)
@@ -516,7 +515,7 @@ class TestChunkedRuns:
         with SplitRun(10, RngConfig(1, 0), "needle", ratio=0.5) as run:
             with pytest.raises(ValueError, match="head of a single run"):
                 run.join(run_needle_trials(10, RngConfig(1, 0).stream(), 1.0))
-        # Only a single run takes a head; a batch's join tallies this process's share.
+        # Only a single run takes a head; a batch's join tallies the first share without one.
         with SplitRun(10, RngConfig(1, 0), runs=2) as run:
             with pytest.raises(ValueError, match="runs = 2"):
                 run.join(run_triangle_trials(10, RngConfig(1, 0).stream()))
@@ -527,19 +526,22 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("drawn_by", ["join", "caller"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
     def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, error, drawn_by):
-        # Forty blocks at two workers: this process's share of twenty, and one
-        # child's task of the other twenty, ten seconds of work.  This
-        # process's share raises at once, in ``join()``'s own tally or in the
-        # caller's block.  The error comes out, and the child is killed and
-        # reaped at once.
+        # Forty blocks at two workers: two shares of twenty blocks, ten
+        # seconds of work for each child that tallies one.  The error comes
+        # at once, in the caller's block, which draws the first share itself,
+        # or while ``join()`` waits on the pipes of the two children it
+        # started.  It comes out, and every child is killed and reaped at once.
         parent, trials = os.getpid(), 40 * estimators._BLOCK
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
 
         def stand_in(task):
             if os.getpid() == parent:
-                raise error
+                raise AssertionError("this process tallied a share")
             time.sleep(10)
             return [(0, 0, 0)]
+
+        def read(fd, n):
+            raise error
 
         monkeypatch.setattr(estimators, "tally_casts", stand_in)
         assert SplitRun(trials, RngConfig(1, 0), workers=2)._shares == [(0, trials // 2), (trials // 2, trials)]
@@ -548,7 +550,9 @@ class TestChunkedRuns:
             with SplitRun(trials, RngConfig(1, 0), workers=2) as run:
                 if drawn_by == "caller":
                     raise error
-                run.join()
+                # Only this block reads through the stand-in; the children write and never read.
+                with mock.patch.object(os, "read", read):
+                    run.join()
         assert time.monotonic() - started < 5
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
