@@ -9,8 +9,8 @@ equals that path's, and ``geometry.filtered_hits`` decides the needle's
 hits the same way.  ``np.add.reduceat`` splits the per-cast counts per run.
 Counts are elementwise, so tallies do not depend on how casts share blocks.
 
-The loop runs in one workspace per process (per thread), so a block
-allocates nothing of its size but a piece that fills it: fresh block-sized
+The loop runs in one workspace per call, sized to it, so a block allocates
+nothing of its size but a piece that fills it: fresh block-sized
 temporaries cost up to 11.5k page faults per 1e6 casts, against ~100 now.
 
 ``tally_casts`` tallies a task, consecutive casts of runs laid end to end
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,6 @@ from .sampling import UNIFORMS_PER_CAST, UNIFORMS_PER_DROP, RngConfig, cast_colu
 # with the block: 32.2, 32.4, 33.4, 35.2 and 38.4 MiB (median of 6 runs,
 # with OpenSSL kept out as ``cli.app`` does).
 _BLOCK = 1 << 15
-# The trial loop's workspace, one per thread (see ``_workspace``).
-_local = threading.local()
 
 
 class DegenerateSampleError(RuntimeError):
@@ -155,8 +152,8 @@ def _tally_runs(rng, n: int, method: str, *, ratio=1.0, start=0, casts=None, rek
     """
     triangle = method == "triangle"
     uniforms = UNIFORMS_PER_CAST if triangle else UNIFORMS_PER_DROP
-    buffer, scratch = _workspace(_BLOCK)
     remaining = n if casts is None else casts
+    buffer, scratch = _workspace(min(_BLOCK, remaining), uniforms)
     tallies = np.zeros((-(-(start + remaining) // n), 3 if triangle else 1), dtype=np.int64)
     run, left = 0, n - start
     while remaining:
@@ -184,14 +181,9 @@ def _tally_runs(rng, n: int, method: str, *, ratio=1.0, start=0, casts=None, rek
     return tallies
 
 
-def _workspace(block: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """This thread's uniform buffer and ``filter_workspace`` for blocks of ``block`` casts, made on first use.
-
-    Per thread, not per process, so that concurrent calls cannot write into each other's blocks.
-    """
-    if getattr(_local, "block", None) != block:
-        _local.block, _local.workspace = block, (np.empty(UNIFORMS_PER_CAST * block), filter_workspace(block))
-    return _local.workspace
+def _workspace(block: int, uniforms: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A float64 uniform buffer and a ``filter_workspace`` for blocks of up to ``block`` casts of ``uniforms`` each."""
+    return np.empty(uniforms * block), filter_workspace(block)
 
 
 def _block_tallies(u, starts, triangle: bool, ratio: float, scratch) -> np.ndarray:
@@ -204,8 +196,8 @@ def _block_tallies(u, starts, triangle: bool, ratio: float, scratch) -> np.ndarr
         count_x, count_y, _ = filtered_crossings(*cast_columns(u), scratch)
         sums = [np.add.reduceat(count_x, starts), np.add.reduceat(count_y, starts)]
         # count_x is summed, so its row takes the squared totals.  (Not np.dot:
-        # a float dot goes to BLAS, whose threads spin against the pool's
-        # other processes.)
+        # a float dot goes to BLAS, whose threads spin against the other
+        # casting processes.)
         total = np.add(count_x, count_y, out=count_x)
         np.square(total, out=total)
         sums.append(np.add.reduceat(total, starts))
@@ -391,7 +383,9 @@ class SplitRun:
     def _child(self, read: int, write: int, task: tuple) -> None:
         """In a forked child: tally ``task``, write its int64 rows to ``write``, and ``os._exit``."""
         try:
-            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            # Ctrl-C ends a child at once, unless the command was started ignoring it.
+            if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
             for fd in (read, *self._children):
                 os.close(fd)
             rows = np.asarray(tally_casts(task), dtype=np.int64)

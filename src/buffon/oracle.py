@@ -4,8 +4,9 @@ Two independent, non-stochastic routes to the expected crossings per cast:
 
 * a lattice average of the actual per-cast counter over rotations and grid
   offsets, and
-* the mean-width identity (a convex body's rotational average projection
-  width is perimeter/pi, here 3*side/pi).
+* the closed form 12 * side / (pi * spacing), from the mean width (a convex
+  body's rotational average projection width is perimeter/pi, here
+  3*side/pi).
 
 The triangle estimator's factor 12 is exactly ``2 families * 2 crossings
 per straddled line * mean width / spacing`` and both routes must agree.
@@ -66,25 +67,19 @@ def expected_crossings_quadrature(grid_points_theta: int = 360, grid_points_offs
     return total / grid_points_theta
 
 
-def mean_width_identity(side: float) -> float:
-    """Rotational average of the triangle's projection width: 3*side/pi.
-
-    This is the perimeter/pi rule for convex bodies applied to the
-    equilateral triangle of perimeter 3*side.
-    """
-    if not side > 0:
-        raise ValueError(f"side must be positive, got {side}")
-    return 3.0 * side / math.pi
-
-
 def expected_crossings_closed_form(side: float, spacing: float) -> float:
     """Expected crossings per cast: 2 * (mean width / spacing) * 2 = 12 * side / (pi * spacing).
 
     Each line family straddles the triangle with expected multiplicity
     mean width / spacing, each straddled line is crossed twice, and there
     are two families (Cauchy-Crofton), at any ratio of side to spacing; at
-    ``side == spacing`` the rate is 12/pi.
+    ``side == spacing`` the rate is 12/pi.  The mean width is the
+    rotational average of the triangle's projection width, 3*side/pi: the
+    perimeter/pi rule for convex bodies applied to the equilateral triangle
+    of perimeter 3*side.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    return 2.0 * (mean_width_identity(side) / spacing) * 2.0
+    if not side > 0:
+        raise ValueError(f"side must be positive, got {side}")
+    return 2.0 * (3.0 * side / math.pi / spacing) * 2.0

@@ -363,25 +363,30 @@ class TestWorkers:
         assert capsys.readouterr().err == "error: interrupted\n"
 
     @staticmethod
-    def _interrupt(argv, delay):
-        """Run ``argv`` with ``src`` on the path, and send SIGINT to its process
-        group, as a terminal's Ctrl-C does, ``delay`` s after its seed line.  It
-        must stop within 10 s, well under a child's share of the casts."""
+    def _env():
+        """This environment with ``src`` on the path and unbuffered output."""
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
-        proc = subprocess.Popen(
-            [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True,
-        )
-        try:
-            assert proc.stdout.readline() == "seed = 1\n"
-            time.sleep(delay)
-            os.killpg(proc.pid, signal.SIGINT)
-            out, err = proc.communicate(timeout=10)
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+        return dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+
+    @classmethod
+    def _interrupt(cls, argv, delay, sigint=signal.SIG_DFL):
+        """Run ``argv`` with ``src`` on the path and SIGINT set to ``sigint``,
+        whatever this process's own, and send SIGINT to its process group, as a
+        terminal's Ctrl-C does, ``delay`` s after its seed line.  It must end
+        within 10 s, well under a child's share of the casts."""
+        with subprocess.Popen(
+            [sys.executable, *argv], env=cls._env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True, preexec_fn=lambda: signal.signal(signal.SIGINT, sigint),
+        ) as proc:
+            try:
+                assert proc.stdout.readline() == "seed = 1\n"
+                time.sleep(delay)
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=10)
+            finally:
+                # Leaving the block closes the pipes and reaps the process.
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
         return proc.returncode, out, err
 
     @pytest.mark.parametrize("trials", ["1000000000", "10000000000", "1000000000000"])
@@ -396,6 +401,22 @@ class TestWorkers:
         # Four runs of 1e10 casts: each of two children tallies two runs as one task.
         argv = ["-m", "buffon.cli", "batch", "--runs", "4", "--trials", "10000000000", "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--trials", "20000000", "--workers", "2"],
+        ["batch", "--runs", "4", "--trials", "5000000", "--workers", "2"],
+    ], ids=["estimate", "batch"])
+    def test_a_command_started_ignoring_ctrl_c_runs_to_its_end(self, argv):
+        # As ``buffon ... &`` from a non-interactive shell does: each of two
+        # casting processes casts for about half a second, and the command and
+        # the children it forks keep ignoring the signal, so the run ends as an
+        # uninterrupted one does.
+        argv = ["-m", "buffon.cli", *argv, "--seed", "1"]
+        code, out, err = self._interrupt(argv, 0.1, signal.SIG_IGN)
+        assert (code, err) == (0, "")
+        plain = subprocess.run([sys.executable, *argv], env=self._env(), capture_output=True, text=True, timeout=60)
+        assert (plain.returncode, plain.stderr) == (0, "")
+        assert "seed = 1\n" + out == plain.stdout
 
     @pytest.mark.parametrize("cpus, argv", [
         (3, ["estimate", "--trials", "200000", "--workers", "1"]),
@@ -446,17 +467,24 @@ class TestWorkers:
         assert main([*argv, "--seed", "1", "--workers", "1"]) == 0
         assert capsys.readouterr() == capped
 
-    @pytest.mark.parametrize("argv, workers, own", [
-        (["batch", "--runs", "50", "--trials", "1000"], 2, 0),
-        (["batch", "--runs", "50", "--trials", "1000"], 3, 0),
-        (["batch", "--runs", "1", "--trials", str(4 * 65536), "--method", "needle"], 3, 0),
-        (["estimate", "--trials", str(4 * 65536)], 2, 1),
-    ], ids=["batch-2", "batch-3", "batch-one-run-3", "estimate-2"])
-    def test_a_batch_caller_casts_nothing(self, monkeypatch, tmp_path, capsys, argv, workers, own):
+    @pytest.mark.parametrize("argv, processes, own", [
+        (["batch", "--runs", "50", "--trials", "1000", "--workers", "2"], 2, 0),
+        (["batch", "--runs", "50", "--trials", "1000", "--workers", "3"], 3, 0),
+        (["batch", "--runs", "1", "--trials", str(4 * 65536), "--method", "needle", "--workers", "3"], 3, 0),
+        (["batch", "--runs", "3", "--trials", "100000", "--workers", "3"], 3, 0),
+        (["batch", "--runs", "50", "--trials", "1000", "--workers", "1"], 1, 1),
+        (["estimate", "--trials", str(4 * 65536), "--workers", "2"], 2, 1),
+        (["estimate", "--trials", str(4 * 65536), "--workers", "1"], 1, 1),
+        (["estimate", "--trials", str(4 * 65536), "--method", "needle", "--workers", "2"], 2, 1),
+        (["validate", "--mc-trials", str(4 * 65536)], 3, 1),
+    ], ids=["batch-2", "batch-3", "batch-one-run-3", "batch-long-runs-3", "batch-1", "estimate-2", "estimate-1",
+            "estimate-needle-2", "validate-3"])
+    def test_a_batch_caller_casts_nothing(self, monkeypatch, tmp_path, capsys, argv, processes, own):
         # Every process appends its pid to the log each time it enters the
-        # trial loop, which ``tally_casts`` and the head's kernel both run.  A
-        # batch's caller never does, but each of its ``workers`` children does
-        # once; ``estimate``'s caller does once, for the head it draws.
+        # trial loop, which ``tally_casts`` and the head's kernel both run.  No
+        # process enters it twice: a batch's caller never does when it forks,
+        # and each child does once; the caller of a single share, and
+        # ``estimate``'s and ``validate``'s, which draw the head, do once.
         log, trial_loop = tmp_path / "pids", estimators._tally_runs
 
         def logged_loop(*args, **kwargs):
@@ -465,13 +493,14 @@ class TestWorkers:
             return trial_loop(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)  # validate's workers
         monkeypatch.setattr(estimators, "_tally_runs", logged_loop)
-        assert main([*argv, "--seed", "4", "--workers", str(workers)]) == 0
+        assert main([*argv, "--seed", "4"]) == 0
         capsys.readouterr()
         pids = [int(pid) for pid in log.read_text().split()]
         assert pids.count(TEST_PID) == own
         children = [pid for pid in pids if pid != TEST_PID]
-        assert len(set(children)) == len(children) == workers - own
+        assert len(set(children)) == len(children) == processes - own
 
     @pytest.mark.parametrize("workers, loaded", [("2", False), ("1", True)])
     def test_a_forking_batch_caller_imports_no_numpy_random(self, workers, loaded):

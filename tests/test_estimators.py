@@ -655,14 +655,22 @@ class TestWorkspace:
         ),
     )
     def test_back_to_back_calls_on_a_dirty_workspace(self, method, calls):
-        with mock.patch.object(estimators, "_BLOCK", 256):
+        made, workspace = [], estimators._workspace
+
+        def dirty_workspace(block, uniforms):
+            # Whatever a call reads before writing it would be this garbage.
+            buffer, (scratch, near) = workspace(block, uniforms)
+            for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
+                array.fill(garbage)
+            made.append(block)
+            return buffer, (scratch, near)
+
+        with mock.patch.object(estimators, "_BLOCK", 256), mock.patch.object(estimators, "_workspace", dirty_workspace):
             for seed, runs, n, scale in calls:
-                # Whatever a call reads before writing it would be this garbage.
-                buffer, (scratch, near) = estimators._workspace(256)
-                for array, garbage in ((buffer, np.nan), (scratch, np.nan), (near, True)):
-                    array.fill(garbage)
+                made.clear()
                 with mock.patch.object(estimators, "filtered_crossings", functools.partial(_checked_kernel, scale=scale)):
                     rows = [tuple(row) for row in tally_casts((seed, 0, 0, runs * n, n, method, 0.5)).tolist()]
+                assert made == [min(256, runs * n)]
                 assert rows == [_straight_tallies(n, RngConfig(seed, k), method, 0.5) for k in range(runs)]
                 assert rows == _float64_rows(seed, range(runs), n, method)
 
@@ -683,10 +691,19 @@ class TestWorkspace:
         (5, 0, 0, 200 * 5000, 5000, "triangle", 1.0),
         (5, 0, 0, 4_000_000, 4_000_000, "needle", 0.5),
     ], ids=["one-run-of-20-blocks", "200-runs-of-5000", "needle-4e6"])
-    def test_a_block_allocates_nothing_of_its_size_but_its_draw(self, task):
-        # tracemalloc sees numpy's data buffers.  After a warm-up call has made
-        # the workspace, a call holds at most one whole-block draw at a time.
+    def test_a_block_allocates_nothing_of_its_size_but_its_draw(self, monkeypatch, task):
+        # tracemalloc sees numpy's data buffers.  The call's workspace is made
+        # before tracing starts, and a warm-up call has made what a first call
+        # makes once, so the call holds at most one whole-block draw at a time.
         uniforms = UNIFORMS_PER_CAST if task[5] == "triangle" else UNIFORMS_PER_DROP
+        made = estimators._workspace(estimators._BLOCK, uniforms)
+        sizes = []
+
+        def prebuilt(*size):
+            sizes.append(size)
+            return made
+
+        monkeypatch.setattr(estimators, "_workspace", prebuilt)
         tally_casts(task)
         tracemalloc.start()
         try:
@@ -694,6 +711,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sizes == [(estimators._BLOCK, uniforms)] * 2
         assert peak <= uniforms * estimators._BLOCK * 8 + (1 << 18)
 
 

@@ -9,7 +9,6 @@ from buffon.geometry import crossings_per_cast, make_triangle
 from buffon.oracle import (
     expected_crossings_closed_form,
     expected_crossings_quadrature,
-    mean_width_identity,
 )
 from buffon.sampling import RngConfig, cast_columns
 
@@ -92,13 +91,16 @@ class TestQuadrature:
 
 
 class TestMeanWidth:
+    """The mean width 3*side/pi that ``expected_crossings_closed_form`` rests on: its rate is 4 mean widths per spacing."""
+
     def test_unit_side(self):
-        value = mean_width_identity(1.0)
+        value = expected_crossings_closed_form(1.0, 1.0) / 4.0
         assert value == pytest.approx(3.0 / math.pi, rel=1e-15)
         assert f"{value:.6f}" == "0.954930"
 
     def test_linear_in_side(self):
-        assert mean_width_identity(2.0) == pytest.approx(2.0 * mean_width_identity(1.0), rel=1e-15)
+        unit = expected_crossings_closed_form(1.0, 1.0)
+        assert expected_crossings_closed_form(2.0, 1.0) == pytest.approx(2.0 * unit, rel=1e-15)
 
     def test_matches_numeric_projection_average(self):
         # average the projection extent of the unit triangle over 10^4 directions
@@ -113,8 +115,8 @@ class TestMeanWidth:
         assert total / n == pytest.approx(3.0 / math.pi, abs=1e-4)
 
     def test_rejects_nonpositive_side(self):
-        with pytest.raises(ValueError):
-            mean_width_identity(0.0)
+        with pytest.raises(ValueError, match="side must be positive"):
+            expected_crossings_closed_form(0.0, 1.0)
 
 
 class TestClosedForm:
