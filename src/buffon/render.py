@@ -2,8 +2,10 @@
 
 Documents are plain generated text with no timestamps and coordinates
 rounded to a fixed number of decimals, so rendering the same scene twice
-yields byte-identical bytes.  World axes map directly onto pixel axes
-(y grows downward on screen).
+yields byte-identical bytes.  Each element kind has one writer: ``_svg``
+for the document and its white background, ``_line`` and ``_text`` for
+every line and label.  World axes map directly onto pixel axes (y grows
+downward on screen).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GridSpec, TriangleSpec, Vertices
+from .geometry import GridSpec, TriangleSpec
 
 CANVAS_PX = 400
 
@@ -21,18 +23,6 @@ HIST_MARGIN_LEFT = 60
 HIST_MARGIN_RIGHT = 20
 HIST_MARGIN_TOP = 40
 HIST_MARGIN_BOTTOM = 60
-
-
-@dataclass(frozen=True)
-class CastScene:
-    """One cast ready to draw: triangle, visible grid lines, and the square world window ``x0, y0, span``."""
-
-    vertices: Vertices
-    x_lines: tuple[float, ...]
-    y_lines: tuple[float, ...]
-    x0: float
-    y0: float
-    span: float
 
 
 @dataclass(frozen=True)
@@ -49,66 +39,62 @@ class HistogramScene:
 
 def grid_lines_in_window(offset: float, spacing: float, lo: float, hi: float) -> tuple[float, ...]:
     """All grid-line positions offset + k*spacing inside [lo, hi]."""
-    positions = []
-    k = math.ceil((lo - offset) / spacing)
-    while True:
-        pos = offset + k * spacing
-        if pos > hi:
-            return tuple(positions)
-        if pos >= lo:
-            positions.append(pos)
-        k += 1
-
-
-def scene_for_cast(tri: TriangleSpec, grid: GridSpec) -> CastScene:
-    """Frame a cast with its circumcircle spanning the canvas.
-
-    The world window is the square of side 2*circumradius centered on the
-    triangle; every grid line inside the window is included.
-    """
-    r = tri.circumradius
-    x0 = tri.center[0] - r
-    y0 = tri.center[1] - r
-    span = 2.0 * r
-    x_lines = grid_lines_in_window(grid.offset_x, grid.spacing, x0, x0 + span)
-    y_lines = grid_lines_in_window(grid.offset_y, grid.spacing, y0, y0 + span)
-    return CastScene(tri.vertices(), x_lines, y_lines, x0, y0, span)
+    first = math.ceil((lo - offset) / spacing)
+    last = math.floor((hi - offset) / spacing)
+    # One k past the floor covers rounding in the division and the filter
+    # keeps the result exact; the bounded range keeps a window far from the
+    # origin, where adding the spacing no longer moves the float, finite.
+    positions = (offset + k * spacing for k in range(first, last + 2))
+    return tuple(pos for pos in positions if lo <= pos <= hi)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_cast(scene: CastScene) -> str:
-    """SVG for one cast: white background, black triangle edges, red grid."""
-    c, scale = CANVAS_PX, CANVAS_PX / scene.span
-    out = [
-        f'<svg height="{c}" width="{c}" xmlns="http://www.w3.org/2000/svg">',
-        f'<rect x="0" y="0" width="{c}" height="{c}" fill="white" />',
+def _svg(width: int, height: int, elements) -> str:
+    """A whole document: header, white background, the elements, closing tag."""
+    head = [
+        f'<svg height="{height}" width="{width}" xmlns="http://www.w3.org/2000/svg">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" />',
     ]
-    v = scene.vertices
-    for a, b in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0])):
-        x1, y1 = (a[0] - scene.x0) * scale, (a[1] - scene.y0) * scale
-        x2, y2 = (b[0] - scene.x0) * scale, (b[1] - scene.y0) * scale
-        out.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="black" stroke-width="2"/>'
-        )
-    for x in scene.x_lines:
-        px = (x - scene.x0) * scale
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{c}" '
-            f'stroke="red" stroke-width="2"/>'
-        )
-    for y in scene.y_lines:
-        py = (y - scene.y0) * scale
-        out.append(
-            f'<line x1="0" y1="{_fmt(py)}" x2="{c}" y2="{_fmt(py)}" '
-            f'stroke="red" stroke-width="2"/>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join([*head, *elements, "</svg>"]) + "\n"
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}"{extra}>{body}</text>'
+
+
+def scene_for_cast(tri: TriangleSpec, grid: GridSpec) -> tuple[str, ...]:
+    """The elements of one cast: black triangle edges, then the red grid.
+
+    The world window is the square of side 2*circumradius centered on the
+    triangle, drawn across the whole canvas; every grid line inside the
+    window is included.
+    """
+    r = tri.circumradius
+    x0 = tri.center[0] - r
+    y0 = tri.center[1] - r
+    span = 2.0 * r
+    c, scale = CANVAS_PX, CANVAS_PX / span
+    v = [(_fmt((x - x0) * scale), _fmt((y - y0) * scale)) for x, y in tri.vertices()]
+    out = [_line(*a, *b, "black", 2) for a, b in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0]))]
+    for x in grid_lines_in_window(grid.offset_x, grid.spacing, x0, x0 + span):
+        px = _fmt((x - x0) * scale)
+        out.append(_line(px, 0, px, c, "red", 2))
+    for y in grid_lines_in_window(grid.offset_y, grid.spacing, y0, y0 + span):
+        py = _fmt((y - y0) * scale)
+        out.append(_line(0, py, c, py, "red", 2))
+    return tuple(out)
+
+
+def render_cast(elements: tuple[str, ...]) -> str:
+    """SVG for one cast: white background, then ``scene_for_cast``'s elements."""
+    return _svg(CANVAS_PX, CANVAS_PX, elements)
 
 
 def render_histogram(scene: HistogramScene) -> str:
@@ -134,10 +120,8 @@ def render_histogram(scene: HistogramScene) -> str:
     def x_px(x: float) -> float:
         return plot_left + (x - x_min) / x_span * plot_w
 
-    out = [
-        f'<svg height="{HIST_HEIGHT}" width="{HIST_WIDTH}" xmlns="http://www.w3.org/2000/svg">',
-        f'<rect x="0" y="0" width="{HIST_WIDTH}" height="{HIST_HEIGHT}" fill="white" />',
-    ]
+    mid_x, mid_y = (plot_left + plot_right) // 2, (plot_top + plot_bottom) // 2
+    out = []
     for low, high, count in scene.bins:
         bar_h = count / max_count * plot_h
         left = x_px(low)
@@ -147,44 +131,18 @@ def render_histogram(scene: HistogramScene) -> str:
             f'width="{_fmt(width)}" height="{_fmt(bar_h)}" '
             f'fill="black"/>'
         )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+    out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "black", 1))
+    out.append(_line(plot_left, plot_top, plot_left, plot_bottom, "black", 1))
     for i in range(5):
         x = x_min + x_span * i / 4
-        px = x_px(x)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{plot_bottom}" '
-            f'x2="{_fmt(px)}" y2="{plot_bottom + 5}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{plot_bottom + 20}" text-anchor="middle" '
-            f'font-size="12">{x:.4f}</text>'
-        )
-    out.append(
-        f'<text x="{plot_left - 8}" y="{plot_top + 4}" text-anchor="end" '
-        f'font-size="12">{max_count}</text>'
-    )
-    out.append(
-        f'<text x="{(plot_left + plot_right) // 2}" y="{plot_bottom + 40}" '
-        'text-anchor="middle" font-size="13">pi estimate</text>'
-    )
-    out.append(
-        f'<text x="14" y="{(plot_top + plot_bottom) // 2}" text-anchor="middle" '
-        f'font-size="13" transform="rotate(-90 14 {(plot_top + plot_bottom) // 2})">'
-        'runs</text>'
-    )
-    out.append(
-        f'<text x="{(plot_left + plot_right) // 2}" y="{plot_top - 16}" '
-        f'text-anchor="middle" font-size="14">mean = {scene.mean:.5f}</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        px = _fmt(x_px(x))
+        out.append(_line(px, plot_bottom, px, plot_bottom + 5, "black", 1))
+        out.append(_text(px, plot_bottom + 20, "middle", 12, f"{x:.4f}"))
+    out.append(_text(plot_left - 8, plot_top + 4, "end", 12, str(max_count)))
+    out.append(_text(mid_x, plot_bottom + 40, "middle", 13, "pi estimate"))
+    out.append(_text(14, mid_y, "middle", 13, "runs", f' transform="rotate(-90 14 {mid_y})"'))
+    out.append(_text(mid_x, plot_top - 16, "middle", 14, f"mean = {scene.mean:.5f}"))
+    return _svg(HIST_WIDTH, HIST_HEIGHT, out)
 
 
 def filename_for_cast(index: int) -> str:

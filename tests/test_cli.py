@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -664,6 +665,30 @@ class TestBenchmarkContract:
         assert main(args) == 0
         assert len(calls) == 1 and csv.exists() and svg.exists()
         capsys.readouterr()
+
+
+    def test_the_traced_bench_runs_on_this_tree(self, tmp_path):
+        # The suite collects only tests/, so run the bench's traced triangle
+        # workload on a copy of this tree, the package found through src/.
+        root = SRC.parent
+        for name in ("bench", "src"):
+            shutil.copytree(root / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+        shutil.copy(root / "BENCHMARK.json", tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        argv = ["--workload", "triangle", "--seed", "3", "--seconds", "0.1", "--scale", "0.01", "--trace", "1"]
+        done = subprocess.run(
+            [sys.executable, "bench/run.py", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["correct"] and result["failed"] == 0
+        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
+        report = json.loads((tmp_path / ".bench_work" / "triangle-seed3-trace1.json").read_text(encoding="utf-8"))
+        by_id = {s["id"]: s for s in report["tracing"]["spans"]}
+        kernels = [s for s in by_id.values() if s["name"] == "estimators.run_triangle_trials" and s["parent"] is not None]
+        assert kernels
+        assert all(by_id[k["parent"]]["name"] == "cli.main" for k in kernels)
 
 
 class TestTopLevel:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -81,6 +82,11 @@ class TestGridLinesInWindow:
         lines = grid_lines_in_window(0.25, 1.0, -3.0, 3.0)
         assert lines == (-2.75, -1.75, -0.75, 0.25, 1.25, 2.25)
 
+    def test_window_far_from_the_origin_stays_bounded(self):
+        # Near 1e20 adding the spacing no longer moves the float, so an
+        # unbounded walk would list the same line thousands of times.
+        assert len(grid_lines_in_window(0.0, 1.0, 1e20 - 0.5, 1e20 + 0.5)) <= 2
+
 
 class TestRenderHistogram:
     def _bars(self, root):
@@ -129,6 +135,35 @@ class TestRenderHistogram:
     def test_empty_bins_rejected(self):
         with pytest.raises(ValueError):
             HistogramScene(bins=(), mean=0.0)
+
+
+class TestRenderDigests:
+    """Exact bytes of documents that no golden command reaches."""
+
+    @pytest.mark.parametrize("doc,digest", [
+        pytest.param(
+            lambda: render_histogram(HistogramScene(bins=((3.0, 3.0, 5),), mean=3.0)),
+            "6122a0b2fca7d264f3456f25f63771469603582ddf900bb7b2077e98477524cc",
+            id="zero-width-histogram",
+        ),
+        pytest.param(
+            lambda: render_histogram(HistogramScene(bins=((3.0, 3.1, 4), (3.1, 3.2, 0), (3.2, 3.3, 7)), mean=3.17)),
+            "e21ce511d27f551704032c8233428ebf568eb45d408cf99bfa04d54e8f1c5a1d",
+            id="zero-count-bin",
+        ),
+        pytest.param(
+            lambda: render_histogram(HistogramScene(bins=((0.0, 1.0, 0),), mean=0.5)),
+            "38870260647fa7a53d39de95d926e99106b9d32861ef0efe357ccc1a60598d99",
+            id="all-zero-histogram",
+        ),
+        pytest.param(
+            lambda: render_cast(scene_for_cast(TriangleSpec((7.3, -4.1), 2.5, 0.7), GridSpec(0.9, 0.11, 0.37))),
+            "4209a3e266893e6c6e9f506ec37906cc3cbc444545b932483a8dce64f85dc4b7",
+            id="off-origin-cast",
+        ),
+    ])
+    def test_bytes_are_pinned(self, doc, digest):
+        assert hashlib.sha256(doc().encode("utf-8")).hexdigest() == digest
 
 
 class TestFilenames:
