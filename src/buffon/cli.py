@@ -15,15 +15,12 @@ from pathlib import Path
 
 from .estimators import (
     DegenerateSampleError,
-    SplitRun,
-    Tally,
     WorkerDiedError,
     _usable_cpus,
     estimate_pi_needle,
     estimate_pi_triangle,
     run_batch,
-    run_needle_trials,
-    run_triangle_trials,
+    run_single,
 )
 from .geometry import GridSpec, TriangleSpec, crossings_per_cast
 from .oracle import expected_crossings_closed_form, expected_crossings_quadrature
@@ -76,22 +73,6 @@ def _needle_ratio(args) -> float:
     return args.ratio
 
 
-def _run_stream_zero(trials: int, seed: int, method: str, ratio: float, workers: int) -> Tally:
-    """One run on stream 0.  This process draws the first share of the casts
-    straight from the start of the stream, as a one-worker run draws them all,
-    while a child process tallies each other share (see ``SplitRun``).
-
-    The share is drawn here, with the trial loop, so that the kernel call is a
-    step of the command itself: ``bench/layers.py`` traces the functions this
-    module calls and the streams it makes.
-    """
-    config = RngConfig(seed, 0)
-    with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
-        if method == "triangle":
-            return run.join(run_triangle_trials(run.head, config.stream()))[0]
-        return run.join(run_needle_trials(run.head, config.stream(), ratio))[0]
-
-
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -102,7 +83,7 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_workers(args.workers)
     seed = _resolve_seed(args.seed)
-    tally = _run_stream_zero(args.trials, seed, args.method, ratio, args.workers)
+    tally = run_single(args.trials, RngConfig(seed, 0), args.method, ratio=ratio, workers=args.workers)
     summary = (estimate_pi_triangle if args.method == "triangle" else estimate_pi_needle)(tally)
     counts = tally.named_counts()
     for name, count in counts.items():
@@ -203,7 +184,7 @@ def cmd_validate(args) -> int:
     ok = gap < args.tolerance
     if args.mc_trials is not None:
         seed = _resolve_seed(args.seed)
-        tally = _run_stream_zero(args.mc_trials, seed, "triangle", 1.0, _usable_cpus())
+        tally = run_single(args.mc_trials, RngConfig(seed, 0), workers=_usable_cpus())
         mc_mean, se = tally.rate()
         print(f"monte carlo mean ({tally.trials} trials) = {mc_mean:.6f}")
         if se:

@@ -21,8 +21,8 @@ packed, or on the worker count.  ``SplitRun``, the one scheduler, cuts the
 casts into one contiguous share per casting process, at most one per usable
 CPU.  A child forked with ``os.fork`` tallies each share and returns its
 rows over a pipe, with no executor, queue or pickling to start or import,
-while the calling process only reads the pipes.  It casts only a single
-share, or the first share of a single run that its caller draws itself.
+while the calling process only reads the pipes; it casts a run only when
+the run is a single share.  ``run_single`` and ``run_batch`` run it.
 """
 
 from __future__ import annotations
@@ -305,19 +305,13 @@ class SplitRun:
     contiguous share per casting process, at most ``workers`` and one per
     usable CPU (one without ``os.fork``).  Each cut is rounded up to a
     ``_BLOCK`` boundary within its run, so shares differ by less than two
-    blocks, and empty shares are dropped.  The first share is the casts
-    before ``head``: all of them at one worker, or for a single run of at
-    most one block.  Entering the block forks one child per other share;
-    each tallies its share as one ``tally_casts`` task and writes the rows
-    to its own pipe.  Leaving it, on an error or Ctrl-C too, kills and reaps
-    them.
-
-    ``join()`` forks one more child for the first share when there are
-    others, and then only reads pipes: this process never fills a block, so
-    it maps no workspace and imports no ``numpy.random``.  A single share it
-    tallies itself.  A caller of a single run may instead draw its first
-    ``head`` casts from ``config.stream()`` with the trial loop and hand
-    their tally to ``join``::
+    blocks, and empty shares are dropped.  With two shares or more, entering
+    the block forks one child per share; each tallies its share as one
+    ``tally_casts`` task and writes the rows to its own pipe, while this
+    process only reads the pipes: it never fills a block, so it maps no
+    workspace and imports no ``numpy.random``.  A single share it tallies
+    itself.  Leaving the block, on an error or Ctrl-C too, kills and reaps
+    the children.  A run is tallied once::
 
         with SplitRun(trials, config, workers=workers) as run:
             (tally,) = run.join()
@@ -352,18 +346,19 @@ class SplitRun:
             run, cast = divmod(k * end // processes, trials)
             cuts.append(run * trials + min(trials, -(-cast // _BLOCK) * _BLOCK))
         cuts.append(end)
-        # ``(start, stop)`` in the runs laid end to end; the first share ends at ``head``.
+        # ``(start, stop)`` in the runs laid end to end.
         self._shares = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-        self.head = self._shares[0][1]
         self._children = {}  # the pid and the runs of each child not yet reaped, by its pipe's read end
+        self._spent = False
 
     def __enter__(self) -> "SplitRun":
-        try:
-            for start, stop in self._shares[1:]:
-                self._fork(start, stop)
-        except BaseException:
-            self.__exit__()
-            raise
+        if len(self._shares) > 1:
+            try:
+                for start, stop in self._shares:
+                    self._fork(start, stop)
+            except BaseException:
+                self.__exit__()
+                raise
         return self
 
     def _fork(self, start: int, stop: int) -> None:
@@ -395,27 +390,20 @@ class SplitRun:
         finally:
             os._exit(1)
 
-    def tallies(self, head: Tally | None = None) -> np.ndarray:
+    def tallies(self) -> np.ndarray:
         """Each run's ``tally_casts`` row, in stream order, summed over the shares.
 
-        ``head`` is the first share of a single run, drawn by the caller;
-        without it, one more child tallies that share, or this process when
-        it is the only one.  A child that dies, or exits without all of its
-        rows, raises WorkerDiedError.
+        A child that dies, or exits without all of its rows, raises
+        WorkerDiedError.  A run tallied before, or split over children
+        outside its ``with`` block, raises RuntimeError.
         """
+        if self._spent or len(self._shares) > 1 and not self._children:
+            raise RuntimeError("a SplitRun is tallied once, inside its with block")
+        self._spent = True
         totals = np.zeros((self.runs, 3 if self.method == "triangle" else 1), dtype=np.int64)
-        if head is None and self._children:
-            self._fork(*self._shares[0])
-        elif head is None:
+        if len(self._shares) == 1:
             seed, first = self.config.seed, self.config.stream_id
-            totals[:] = tally_casts((seed, first, 0, self.head, self.trials, self.method, self.ratio))
-        elif self.runs != 1 or (head.method, head.trials, head.ratio) != (self.method, self.head, self.ratio):
-            raise ValueError(
-                f"join takes the head of a single run, {self.head} casts of the {self.method}; "
-                f"got {head.trials} of the {head.method} with runs = {self.runs}"
-            )
-        else:
-            totals[0] = head.counts
+            totals[:] = tally_casts((seed, first, 0, self.trials * self.runs, self.trials, self.method, self.ratio))
         # A child writes once its task is done, so reading the pipes in turn holds none of them back.
         for fd, (pid, runs) in list(self._children.items()):
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -430,9 +418,9 @@ class SplitRun:
             rows += np.frombuffer(data, dtype=np.int64).reshape(rows.shape)
         return totals
 
-    def join(self, head: Tally | None = None) -> list[Tally]:
+    def join(self) -> list[Tally]:
         """Each run's ``Tally``, in stream order, from its ``tallies``."""
-        return [Tally(self.method, self.trials, tuple(t), self.ratio) for t in self.tallies(head).tolist()]
+        return [Tally(self.method, self.trials, tuple(t), self.ratio) for t in self.tallies().tolist()]
 
     def __exit__(self, *exc_info) -> None:
         for fd, (pid, _) in self._children.items():
@@ -440,6 +428,15 @@ class SplitRun:
             os.waitpid(pid, 0)
             os.close(fd)
         self._children.clear()
+
+
+def run_single(
+    trials: int, config: RngConfig, method: str = "triangle", *, ratio: float = 1.0, workers: int = 1
+) -> Tally:
+    """One run of ``trials`` casts on ``config``'s stream, split over ``workers`` processes as ``SplitRun`` cuts it."""
+    with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
+        (tally,) = run.join()
+    return tally
 
 
 def run_batch(

@@ -129,9 +129,9 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("method", [["--method", "triangle"], ["--method", "needle", "--ratio", "0.5"]])
     def test_worker_count_keeps_bytes_identical(self, monkeypatch, tmp_path, capsys, method):
-        # On three usable CPUs: at 2 workers this process draws two blocks and
-        # one child a block and a tail of 5 casts; at 3 workers this process
-        # draws two blocks, and two children one block and the tail.
+        # On three usable CPUs: at 2 workers one child tallies four blocks and
+        # the other two blocks and a tail of 5 casts; at 3 workers three
+        # children tally three blocks, two, and one and the tail.
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         outputs = {}
         for workers in ("1", "2", "3"):
@@ -392,9 +392,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("trials", ["1000000000", "10000000000", "1000000000000"])
     def test_ctrl_c_stops_a_long_run_without_a_traceback(self, trials):
-        # Minutes to days of work on two workers, so the running child must be
-        # stopped.  Half a second in, this process is drawing its half of the
-        # casts and one child is tallying the other half as one task.
+        # Minutes to days of work on two workers, so the running children must
+        # be stopped.  Half a second in, each of two children is tallying its
+        # half of the casts as one task, and this process waits on their pipes.
         argv = ["-m", "buffon.cli", "estimate", "--trials", trials, "--seed", "1", "--workers", "2"]
         assert self._interrupt(argv, 0.5) == (2, "", "error: interrupted\n")
 
@@ -438,14 +438,14 @@ class TestWorkers:
         assert main([*argv, "--seed", "1"]) == 0
 
     @pytest.mark.parametrize("argv, children, own_loops", [
-        (["estimate", "--trials", str(10 * 65536)], 1, 1),
+        (["estimate", "--trials", str(10 * 65536)], 2, 0),
         (["batch", "--runs", "100", "--trials", "1000"], 2, 0),
     ], ids=["estimate", "batch"])
     def test_processes_are_capped_at_the_usable_cpus(self, monkeypatch, capsys, argv, children, own_loops):
         # 100000 workers on two usable CPUs make two casting processes, with
-        # the same output as one worker: estimate's caller draws the head and
-        # forks one child, and batch's caller forks two and casts nothing.
-        # The recorder refuses a fork past those, so this test never starts more.
+        # the same output as one worker: the caller forks two children and
+        # casts nothing.  The recorder refuses a fork past those, so this test
+        # never starts more.
         forks, fork, loops, trial_loop = [], os.fork, [], estimators._tally_runs
 
         def recording_fork():
@@ -474,18 +474,17 @@ class TestWorkers:
         (["batch", "--runs", "1", "--trials", str(4 * 65536), "--method", "needle", "--workers", "3"], 3, 0),
         (["batch", "--runs", "3", "--trials", "100000", "--workers", "3"], 3, 0),
         (["batch", "--runs", "50", "--trials", "1000", "--workers", "1"], 1, 1),
-        (["estimate", "--trials", str(4 * 65536), "--workers", "2"], 2, 1),
+        (["estimate", "--trials", str(4 * 65536), "--workers", "2"], 2, 0),
         (["estimate", "--trials", str(4 * 65536), "--workers", "1"], 1, 1),
-        (["estimate", "--trials", str(4 * 65536), "--method", "needle", "--workers", "2"], 2, 1),
-        (["validate", "--mc-trials", str(4 * 65536)], 3, 1),
+        (["estimate", "--trials", str(4 * 65536), "--method", "needle", "--workers", "2"], 2, 0),
+        (["validate", "--mc-trials", str(4 * 65536)], 3, 0),
     ], ids=["batch-2", "batch-3", "batch-one-run-3", "batch-long-runs-3", "batch-1", "estimate-2", "estimate-1",
             "estimate-needle-2", "validate-3"])
-    def test_a_batch_caller_casts_nothing(self, monkeypatch, tmp_path, capsys, argv, processes, own):
+    def test_a_forking_caller_casts_nothing(self, monkeypatch, tmp_path, capsys, argv, processes, own):
         # Every process appends its pid to the log each time it enters the
-        # trial loop, which ``tally_casts`` and the head's kernel both run.  No
-        # process enters it twice: a batch's caller never does when it forks,
-        # and each child does once; the caller of a single share, and
-        # ``estimate``'s and ``validate``'s, which draw the head, do once.
+        # trial loop.  No process enters it twice: a caller that forks never
+        # does, and each child does once; the caller of a single share does
+        # once.
         log, trial_loop = tmp_path / "pids", estimators._tally_runs
 
         def logged_loop(*args, **kwargs):
@@ -503,16 +502,24 @@ class TestWorkers:
         children = [pid for pid in pids if pid != TEST_PID]
         assert len(set(children)) == len(children) == processes - own
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--runs", "20", "--trials", "1000"],
+        ["estimate", "--trials", str(4 * 65536)],
+        ["estimate", "--trials", str(4 * 65536), "--method", "needle"],
+        ["validate", "--mc-trials", str(4 * 65536)],
+    ], ids=["batch", "estimate", "estimate-needle", "validate"])
     @pytest.mark.parametrize("workers, loaded", [("2", False), ("1", True)])
-    def test_a_forking_batch_caller_imports_no_numpy_random(self, workers, loaded):
-        # Only a process that draws imports numpy.random, so a batch's caller
-        # that forks every share never maps it.
+    def test_a_forking_caller_imports_no_numpy_random(self, argv, workers, loaded):
+        # Only a process that draws imports numpy.random, so a caller that
+        # forks every share never maps it.  validate's Monte Carlo leg runs on
+        # every usable CPU, as many as --workers here.
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        argv = [*argv, "--seed", "1"] + (["--workers", workers] if argv[0] != "validate" else [])
         script = f"""
 import sys
 import buffon.cli as cli, buffon.estimators as estimators
-estimators._usable_cpus = lambda: 2
-code = cli.main(["batch", "--runs", "20", "--trials", "1000", "--seed", "1", "--workers", "{workers}"])
+cli._usable_cpus = estimators._usable_cpus = lambda: {workers}
+code = cli.main({argv!r})
 print(code, "numpy.random" in sys.modules)
 """
         done = subprocess.run(
@@ -521,32 +528,64 @@ print(code, "numpy.random" in sys.modules)
         )
         assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_a_forking_caller_peaks_at_its_import(self):
+        # The caller of a split run maps no workspace and imports no
+        # numpy.random, so its peak RSS stays within 1 MiB of the import's
+        # (with OpenSSL blocked, as app() does); one that draws a share peaks
+        # ~4.5 MiB above it.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        script = """
+import sys
+sys.modules["_hashlib"] = None
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+import buffon.cli as cli, buffon.estimators as estimators
+imported = peak()
+estimators._usable_cpus = lambda: 2
+code = cli.main(["estimate", "--trials", "262144", "--seed", "1", "--workers", "2"])
+print(code, peak() - imported)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        code, grown_kib = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0 and grown_kib <= 1024
+
     @pytest.mark.parametrize("fault, message", [
         ("none", ""),
-        ("MemoryError in the head", "error: out of memory"),
-        ("Ctrl-C in the head", "error: interrupted\n"),
+        ("MemoryError in the first child", "error: a worker process died: pid "),
+        ("Ctrl-C while reading the pipes", "error: interrupted\n"),
         ("MemoryError in a child", "error: a worker process died: pid "),
         ("child killed mid-run", "error: a worker process died: pid "),
     ])
     def test_no_process_is_left_behind(self, monkeypatch, capfd, fault, message):
-        # A run of four blocks at two workers: this process draws two, and one
-        # child the other two.  Every path ends with the child reaped, and
-        # every error path in exit 2 with one line on stderr.
+        # A run of four blocks at two workers: each of two children tallies
+        # two, and this process reads their pipes.  Every path ends with both
+        # children reaped, and every error path in exit 2 with one line on
+        # stderr.  The first child's fault is read while the other still runs.
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        tally = estimators.tally_casts
 
-        def head(n, rng):
-            raise KeyboardInterrupt if fault.startswith("Ctrl-C") else MemoryError
+        def read(fd, n):
+            raise KeyboardInterrupt
 
         def child(task):
             if fault == "child killed mid-run":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if fault == "MemoryError in the first child" and task[2]:
+                return tally(task)
             raise MemoryError
 
-        if fault.endswith("head"):
-            monkeypatch.setattr(cli, "run_triangle_trials", head)
+        if fault.startswith("Ctrl-C"):
+            # Only this process reads; the children write and never read.
+            monkeypatch.setattr(os, "read", read)
         elif fault != "none":
             monkeypatch.setattr(estimators, "tally_casts", child)
         rc = main(["estimate", "--trials", str(4 * 65536), "--seed", "1", "--workers", "2"])
+        monkeypatch.undo()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         err = capfd.readouterr().err
@@ -556,15 +595,17 @@ print(code, "numpy.random" in sys.modules)
             assert f" was killed by signal {int(signal.SIGKILL)}, " in err
 
     def test_ctrl_c_with_an_idle_worker_prints_no_traceback(self):
-        # This process is busy with its share of the casts; the one child has
-        # written its row and exited when the signal comes.
+        # This process waits on the pipe of the first child, still busy with
+        # its share of the casts; the other child has written its row and
+        # exited when the signal comes.
         script = """
 import sys, time
 import buffon.cli as cli, buffon.estimators as estimators
-def head(n, rng):
-    time.sleep(2)
-estimators.tally_casts = lambda task: [(0, 1, 1)]
-cli.run_triangle_trials = head
+def tally(task):
+    if task[2] == 0:
+        time.sleep(2)
+    return [(0, 1, 1)]
+estimators.tally_casts = tally
 sys.exit(cli.main(["estimate", "--trials", "131072", "--seed", "1", "--workers", "2"]))
 """
         assert self._interrupt(["-c", script], 0.5) == (2, "", "error: interrupted\n")
@@ -587,27 +628,29 @@ sys.exit("a child process was left")
 class TestBenchmarkContract:
     """The calls ``bench/layers.py`` makes into the package, so that a change that breaks them fails here too."""
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_the_kernel_call_is_made_through_the_cli(self, monkeypatch, capsys, workers):
-        # The bench traces the functions ``cli`` imports and the streams its
-        # RngConfig makes with ``stream()``; the kernel span must nest there.
-        assert cli.run_triangle_trials.__module__ == "buffon.estimators"
-        kernel, calls, streams = cli.run_triangle_trials, [], []
+    @pytest.mark.parametrize("workers, own_streams", [("1", 1), ("2", 0)])
+    def test_the_kernel_call_is_made_through_the_cli(self, monkeypatch, capsys, workers, own_streams):
+        # The bench traces the functions ``cli`` imports; the whole run must
+        # be one call of one of them, so that its span nests under the
+        # command's.  Only a single share's caller makes a stream and draws.
+        assert (cli.run_single.__module__, cli.run_single.__name__) == ("buffon.estimators", "run_single")
+        run, calls, streams = cli.run_single, [], []
 
-        def recorded_kernel(n, rng):
-            calls.append(rng)
-            return kernel(n, rng)
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
 
         class RecordedRngConfig(RngConfig):
-            def stream(self):  # no arguments, as the bench's stand-in takes none
-                streams.append(super().stream())
-                return streams[-1]
+            def stream(self, first_uniform=0):
+                streams.append(os.getpid())
+                return super().stream(first_uniform)
 
-        monkeypatch.setattr(cli, "run_triangle_trials", recorded_kernel)
-        monkeypatch.setattr(cli, "RngConfig", RecordedRngConfig)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "run_single", recorded)
+        monkeypatch.setattr(estimators, "RngConfig", RecordedRngConfig)
         assert main(["estimate", "--trials", "200000", "--seed", "5", "--workers", workers]) == 0
         assert "pi estimate = " in capsys.readouterr().out
-        assert len(calls) == 1 and calls[0] is streams[0]
+        assert len(calls) == 1 and streams == [TEST_PID] * own_streams
 
     def test_the_call_shapes_the_bench_uses(self):
         rng = RngConfig(7, 0).stream()
@@ -686,9 +729,9 @@ class TestBenchmarkContract:
         assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
         report = json.loads((tmp_path / ".bench_work" / "triangle-seed3-trace1.json").read_text(encoding="utf-8"))
         by_id = {s["id"]: s for s in report["tracing"]["spans"]}
-        kernels = [s for s in by_id.values() if s["name"] == "estimators.run_triangle_trials" and s["parent"] is not None]
-        assert kernels
-        assert all(by_id[k["parent"]]["name"] == "cli.main" for k in kernels)
+        runs = [s for s in by_id.values() if s["name"] == "estimators.run_single"]
+        assert runs
+        assert all(r["parent"] is not None and by_id[r["parent"]]["name"] == "cli.main" for r in runs)
 
 
 class TestTopLevel:
@@ -875,8 +918,8 @@ class TestEntryPoint:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
     def test_no_command_process_maps_libcrypto(self, tmp_path):
         # numpy.random imports secrets, hmac and hashlib; through app() they
-        # must load no OpenSSL, in this process or in the child it forks, and
-        # still give the right digests.
+        # must load no OpenSSL, in this process or in the children it forks,
+        # and still give the right digests.
         script = """
 import os, sys
 import buffon.cli as cli, buffon.estimators as estimators
@@ -907,6 +950,7 @@ cli.app()
         done = self._run([sys.executable, "-c", script], tmp_path, capture_output=True, text=True)
         assert (done.returncode, done.stderr.splitlines()) == (0, [
             "child False",
+            "child False",
             "parent False",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8",
@@ -914,12 +958,13 @@ cli.app()
         assert "pi estimate = " in done.stdout
 
     def test_main_from_python_leaves_hashlib_as_it_found_it(self, tmp_path):
-        # Only app() blocks OpenSSL's hashlib; a library caller of main() keeps it.
+        # Only app() blocks OpenSSL's hashlib; a library caller of main() keeps
+        # it.  One worker, so that this process draws and imports numpy.random.
         script = """
 import sys
 import buffon.cli as cli
 before = sys.modules.get("_hashlib", "absent")
-code = cli.main(["estimate", "--trials", "300000", "--seed", "1", "--workers", "2"])
+code = cli.main(["estimate", "--trials", "300000", "--seed", "1", "--workers", "1"])
 print(code, before, type(sys.modules.get("_hashlib")).__name__)
 """
         done = self._run([sys.executable, "-c", script], tmp_path, capture_output=True, text=True, check=True)

@@ -22,6 +22,7 @@ from buffon.estimators import (
     estimate_pi_triangle,
     run_batch,
     run_needle_trials,
+    run_single,
     run_triangle_trials,
     tally_casts,
 )
@@ -346,53 +347,52 @@ class TestChunkedRuns:
         first = run_needle_trials(4, RngConfig(1, last - 1).stream(96 * UNIFORMS_PER_DROP), 0.5)
         assert rows == [list(first.counts), list(_straight_tallies(100, RngConfig(1, last), "needle", 0.5))]
 
-    @staticmethod
-    def _split_run(trials, config, method, ratio, workers, draw_head):
-        with SplitRun(trials, config, method, ratio=ratio, workers=workers) as run:
-            if not draw_head:
-                (tally,) = run.join()
-            elif method == "triangle":
-                (tally,) = run.join(run_triangle_trials(run.head, config.stream()))
-            else:
-                (tally,) = run.join(run_needle_trials(run.head, config.stream(), ratio))
-        return tally
-
     @pytest.mark.parametrize("cpus", [1 << 12, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("method", ["triangle", "needle"])
     def test_split_run_equals_a_straight_run(self, monkeypatch, workers, method, cpus):
-        # Blocks of 256 casts: at 2 workers, or 3 on 2 CPUs, the first share
-        # is 768 of the 1029 casts and one child takes the other 261; at 3
-        # workers on more CPUs it is 512 and two children take 256 and 261.
-        # The first share is drawn by the caller, as the CLI's ``estimate``
-        # does, or tallied by one more child that ``join()`` forks.  A batch
-        # of 3 such runs is cut the same way, inside runs.
+        # Blocks of 256 casts: at 2 workers, or 3 on 2 CPUs, two children take
+        # 768 and 261 of the 1029 casts; at 3 workers on more CPUs three take
+        # 512, 256 and 261, and at one worker this process tallies them all.
+        # A batch of 3 such runs is cut the same way, inside runs.
         monkeypatch.setattr(estimators, "_BLOCK", 256)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         config, ratio = RngConfig(19, 4), 0.5 if method == "needle" else 1.0
         expected = Tally(method, 1029, _straight_tallies(1029, config, method, 0.5), ratio)
-        for draw_head in (True, False):
-            assert self._split_run(1029, config, method, 0.5, workers, draw_head) == expected
+        assert run_single(1029, config, method, ratio=0.5, workers=workers) == expected
         with SplitRun(1029, config, method, ratio=0.5, workers=workers, runs=3) as batch:
             tallies = batch.join()
         assert tallies == [
             Tally(method, 1029, _straight_tallies(1029, RngConfig(19, k), method, 0.5), ratio) for k in (4, 5, 6)
         ]
 
-    @pytest.mark.parametrize("trials, workers, head", [
+    @pytest.mark.parametrize("trials, workers, first", [
         (1000, 4, 1000), (estimators._BLOCK, 2, estimators._BLOCK), (131072, 2, 65536), (6_000_000, 2, 46 * 65536),
         (6_000_000, 3, 31 * 65536), (6_000_000, 1, 6_000_000),
     ])
-    def test_head_is_a_whole_block_share(self, monkeypatch, trials, workers, head):
-        # This process's share is the first of an even cut, rounded up to whole
-        # blocks: a run of at most one block, or one worker, stays here.
+    def test_the_first_share_is_whole_blocks(self, monkeypatch, trials, workers, first):
+        # The first share of an even cut is rounded up to whole blocks: a run
+        # of at most one block, or one worker, is a single share.
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 4)
-        assert SplitRun(trials, RngConfig(1, 0), workers=workers).head == head
+        assert SplitRun(trials, RngConfig(1, 0), workers=workers)._shares[0] == (0, first)
 
     def test_without_fork_one_process_draws_all(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        run = SplitRun(300001, RngConfig(1, 0), workers=4, runs=3)
-        assert (run.head, run._shares) == (900003, [(0, 900003)])
+        assert SplitRun(300001, RngConfig(1, 0), workers=4, runs=3)._shares == [(0, 900003)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_is_tallied_once(self, monkeypatch, workers):
+        # A second tally would find every child reaped; it must not pass off
+        # the casts of one share as the whole run's.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        config = RngConfig(1, 0)
+        with SplitRun(200000, config, workers=workers) as run:
+            assert run.tallies().tolist() == [list(_straight_tallies(200000, config, "triangle", 1.0))]
+            with pytest.raises(RuntimeError, match="tallied once"):
+                run.tallies()
+        # Nor is a split run tallied outside its block, where no child casts.
+        with pytest.raises(RuntimeError, match="inside its with block"):
+            SplitRun(200000, config, workers=2).tallies()
 
     def test_batch_runs_longer_than_a_block(self, monkeypatch, tmp_path):
         # Blocks of 256 casts and runs of 1003: each child runs one task, a
@@ -456,16 +456,13 @@ class TestChunkedRuns:
 
     def test_a_long_split_run_gives_each_child_one_task(self, monkeypatch):
         # 1e10 casts at 4 workers on 3 CPUs: each stand-in task tallies
-        # (1, its casts, 0), so the join counts tasks and casts.  Two children
+        # (1, its casts, 0), so the join counts tasks and casts.  Three children
         # get one task each, so what a child holds does not grow with the run.
         monkeypatch.setattr(estimators, "tally_casts", _count_task)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
         with SplitRun(10**10, RngConfig(1, 0), workers=4) as run:
-            (tally,) = run.join(Tally("triangle", run.head, (0, 0, 0)))
-        count_x, count_y, _ = tally.counts
-        assert tally.trials == 10**10
-        assert count_y == 10**10 - run.head
-        assert count_x == 2
+            (tally,) = run.join()
+        assert (tally.trials, tally.counts) == (10**10, (3, 10**10, 0))
 
     @settings(max_examples=300, deadline=None)
     @example(trials=10**6, runs=1, workers=4, cpus=2, method="triangle")
@@ -479,14 +476,13 @@ class TestChunkedRuns:
     )
     def test_shares_cover_every_cast_once_in_balanced_block_aligned_pieces(self, trials, runs, workers, cpus, method):
         # Positions p in the runs laid end to end are the casts (p // trials,
-        # p % trials): the first share is [0, head), and the others follow it
-        # end to end up to the last run's last cast.
+        # p % trials): the shares follow each other end to end from 0 up to the
+        # last run's last cast.
         block = estimators._BLOCK
         with mock.patch.object(estimators, "_usable_cpus", lambda: cpus):
             run = SplitRun(trials, RngConfig(1, 0), method, workers=workers, runs=runs)
         shares = run._shares
         edges = [0] + [stop for _, stop in shares]
-        assert shares[0] == (0, run.head)
         assert [start for start, _ in shares] == edges[:-1]
         assert edges[-1] == trials * runs
         assert all(start < stop and start % trials % block == 0 for start, stop in shares)
@@ -506,31 +502,19 @@ class TestChunkedRuns:
         ]:
             with pytest.raises(ValueError):
                 SplitRun(*args, **kwargs)
-        with SplitRun(10, RngConfig(1, 0)) as run:
-            with pytest.raises(ValueError, match="head of a single run, 10 casts"):
-                run.join(run_triangle_trials(9, RngConfig(1, 0).stream()))
-            # The head must be a tally of the run's own method and ratio.
-            with pytest.raises(ValueError, match="got 10 of the needle"):
-                run.join(run_needle_trials(10, RngConfig(1, 0).stream()))
-        with SplitRun(10, RngConfig(1, 0), "needle", ratio=0.5) as run:
-            with pytest.raises(ValueError, match="head of a single run"):
-                run.join(run_needle_trials(10, RngConfig(1, 0).stream(), 1.0))
-        # Only a single run takes a head; a batch's join tallies the first share without one.
         with SplitRun(10, RngConfig(1, 0), runs=2) as run:
-            with pytest.raises(ValueError, match="runs = 2"):
-                run.join(run_triangle_trials(10, RngConfig(1, 0).stream()))
             assert run.join() == [
                 run_triangle_trials(10, RngConfig(1, k).stream()) for k in (0, 1)
             ]
 
-    @pytest.mark.parametrize("drawn_by", ["join", "caller"])
+    @pytest.mark.parametrize("raised_by", ["join", "caller"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
-    def test_an_error_in_the_head_stops_the_pool(self, monkeypatch, error, drawn_by):
+    def test_an_error_in_the_caller_stops_the_children(self, monkeypatch, error, raised_by):
         # Forty blocks at two workers: two shares of twenty blocks, ten
-        # seconds of work for each child that tallies one.  The error comes
-        # at once, in the caller's block, which draws the first share itself,
-        # or while ``join()`` waits on the pipes of the two children it
-        # started.  It comes out, and every child is killed and reaped at once.
+        # seconds of work for each of the two children.  The error comes at
+        # once, in the caller's block before it reads, or while ``join()``
+        # waits on the children's pipes.  It comes out, and every child is
+        # killed and reaped at once.
         parent, trials = os.getpid(), 40 * estimators._BLOCK
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
 
@@ -548,7 +532,7 @@ class TestChunkedRuns:
         started = time.monotonic()
         with pytest.raises(error):
             with SplitRun(trials, RngConfig(1, 0), workers=2) as run:
-                if drawn_by == "caller":
+                if raised_by == "caller":
                     raise error
                 # Only this block reads through the stand-in; the children write and never read.
                 with mock.patch.object(os, "read", read):

@@ -408,7 +408,7 @@ def record(argv) -> dict:
 
 @pytest.fixture
 def pinned_host(monkeypatch, tmp_path):
-    # Three usable CPUs, so --workers 3 forks two children on any host, and
+    # Three usable CPUs, so --workers 3 forks three children on any host, and
     # argparse wraps its usage line at the default 80 columns.
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("COLUMNS", "80")
